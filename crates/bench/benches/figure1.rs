@@ -5,11 +5,12 @@ use std::time::Duration;
 
 use bist_core::{reference, synthesis, SynthesisConfig};
 use bist_dfg::benchmarks;
+use bist_ilp::Budget;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn quick() -> SynthesisConfig {
-    SynthesisConfig::time_boxed(Duration::from_millis(250))
+    SynthesisConfig::budgeted(Budget::time(Duration::from_millis(250)))
 }
 
 fn bench_figure1(c: &mut Criterion) {

@@ -29,15 +29,21 @@ fn bench_ilp(c: &mut Criterion) {
     let mut group = c.benchmark_group("ilp_solver");
     group.sample_size(20);
     group.bench_function("set_cover_propagation_bound", |b| {
-        let config = SolverConfig::exact().with_bound_mode(BoundMode::Propagation);
+        let config = SolverConfig {
+            bound_mode: BoundMode::Propagation,
+            ..SolverConfig::exact()
+        };
         b.iter(|| black_box(&model).solve(&config).unwrap())
     });
     group.bench_function("set_cover_lp_bound", |b| {
-        let config = SolverConfig::exact().with_bound_mode(BoundMode::LpRelaxation);
+        let config = SolverConfig::exact();
         b.iter(|| black_box(&model).solve(&config).unwrap())
     });
     group.bench_function("set_cover_hybrid_bound", |b| {
-        let config = SolverConfig::exact().with_bound_mode(BoundMode::Hybrid { lp_depth: 3 });
+        let config = SolverConfig {
+            bound_mode: BoundMode::Hybrid { lp_depth: 3 },
+            ..SolverConfig::exact()
+        };
         b.iter(|| black_box(&model).solve(&config).unwrap())
     });
     group.finish();

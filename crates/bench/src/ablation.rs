@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use bist_core::{synthesis, SynthesisConfig};
 use bist_dfg::SynthesisInput;
-use bist_ilp::BoundMode;
+use bist_ilp::{BoundMode, Budget};
 
 /// One ablation measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +31,7 @@ pub struct AblationRow {
 
 /// The ablation variants, as `(label, configuration factory)` pairs.
 pub fn variants(limit: Duration) -> Vec<(String, SynthesisConfig)> {
-    let base = SynthesisConfig::time_boxed(limit);
+    let base = SynthesisConfig::budgeted(Budget::time(limit));
     vec![
         (
             "baseline (hybrid bound, reduction, warm start)".to_string(),
@@ -39,7 +39,10 @@ pub fn variants(limit: Duration) -> Vec<(String, SynthesisConfig)> {
         ),
         (
             "no search-space reduction".to_string(),
-            base.clone().with_search_space_reduction(false),
+            SynthesisConfig {
+                search_space_reduction: false,
+                ..base.clone()
+            },
         ),
         ("propagation bound only".to_string(), {
             let mut c = base.clone();

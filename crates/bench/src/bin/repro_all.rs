@@ -7,11 +7,9 @@
 //!
 //! The solve budget comes from one [`bist_ilp::Budget::from_env`] read:
 //! `BIST_TIME_LIMIT_SECS` (default 5 s) per table/figure ILP solve,
-//! `BIST_NODE_LIMIT` (legacy `BIST_SWEEP_NODES`, default 1000) per sweep
-//! solve.
+//! `BIST_NODE_LIMIT` (default 1000) per sweep solve.
 
 use bist_bench::report::ExperimentReport;
-use bist_bench::workload::DEFAULT_SWEEP_NODES;
 use bist_datapath::CostModel;
 
 fn main() {
@@ -67,10 +65,7 @@ fn main() {
 
     // The rebuild-vs-engine sweep comparison, under a deterministic node
     // budget so the per-k objectives can be cross-checked.
-    let sweep_nodes = bist_bench::budget_from_env()
-        .or_nodes(DEFAULT_SWEEP_NODES)
-        .node_limit
-        .expect("or_nodes fills the limit");
+    let sweep_nodes = bist_bench::workload::node_limit_from_env();
     eprintln!("# sweep node budget: {sweep_nodes} nodes/solve (set BIST_NODE_LIMIT to change)");
     let sweep_config = bist_bench::workload::sweep_config(sweep_nodes);
     let sweep_circuits = bist_bench::small_circuits();

@@ -5,8 +5,7 @@
 //! for the solve-state cache.
 
 fn main() {
-    // Canonical BIST_NODE_LIMIT first, legacy BIST_SERVICE_NODES second.
-    let node_limit = bist_bench::workload::ablation_nodes("BIST_SERVICE_NODES", 1000);
+    let node_limit = bist_bench::workload::node_limit_from_env();
     eprintln!(
         "# service benchmark node budget: {node_limit} nodes/solve \
          (set BIST_NODE_LIMIT to change)"

@@ -14,10 +14,7 @@
 use bist_bench::workload::DEFAULT_SWEEP_NODES;
 
 fn main() {
-    let node_limit = bist_bench::budget_from_env()
-        .or_nodes(DEFAULT_SWEEP_NODES)
-        .node_limit
-        .expect("or_nodes fills the limit");
+    let node_limit = bist_bench::workload::node_limit_from_env();
     eprintln!("# sweep node budget: {node_limit} nodes/solve (set BIST_NODE_LIMIT to change)");
 
     let circuits = bist_bench::small_circuits();

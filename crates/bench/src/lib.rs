@@ -11,7 +11,7 @@
 //! | Figure 1 (example DFG / data path) | [`figures`] | `repro_fig1` | `figure1` |
 //! | Figures 2–3 (SR / TPG assignment) | [`figures`] | `repro_fig2_fig3` | — |
 //! | Ablations (ours) | [`ablation`] | — | `ablation_solver`, `ilp_solver` |
-//! | k-sweep engine vs rebuild (ours, `BENCH_sweep.json`) | [`sweep`] | `repro_all` | — |
+//! | k-sweep engine vs rebuild (ours, `BENCH_sweep.json`) | [`sweep`] | `repro_all`, `repro_sweep` | — |
 //! | Service cache + resume (ours, `BENCH_service.json`) | [`service`] | `repro_service` | — |
 //! | RTL netlists + simulated BIST coverage (ours, `BENCH_rtl.json`, `goldens/rtl/`) | [`rtl`] | `repro_rtl` | — |
 //!
@@ -29,10 +29,8 @@
 
 pub mod ablation;
 pub mod figures;
-pub mod presolve;
 pub mod report;
 pub mod rtl;
-pub mod search;
 pub mod service;
 pub mod sweep;
 pub mod table1;

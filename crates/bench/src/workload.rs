@@ -23,9 +23,9 @@ pub fn small_circuits() -> Vec<(&'static str, SynthesisInput)> {
 }
 
 /// Reads the harness [`Budget`] from the environment (`BIST_NODE_LIMIT`,
-/// `BIST_TIME_LIMIT_SECS`, `BIST_DEADLINE_SECS`, legacy `BIST_SWEEP_NODES`
-/// — see [`Budget::from_env`] for precedence), exiting with a diagnostic on
-/// malformed values so CI never silently runs with the wrong budget.
+/// `BIST_TIME_LIMIT_SECS`, `BIST_DEADLINE_SECS` — see [`Budget::from_env`]),
+/// exiting with a diagnostic on malformed values so CI never silently runs
+/// with the wrong budget.
 pub fn budget_from_env() -> Budget {
     match Budget::from_env() {
         Ok(budget) => budget,
@@ -53,45 +53,10 @@ pub fn table_time_budget() -> Duration {
     table_budget().time_limit.expect("or_time fills the limit")
 }
 
-/// Node budget for an ablation binary: the canonical `BIST_NODE_LIMIT`
-/// first, then the binary's legacy variable (`legacy_var`), then `default`.
-/// The sweep-specific legacy `BIST_SWEEP_NODES` deliberately does *not*
-/// apply here — the single [`Budget`] parser runs with the binary's own
-/// legacy variable routed into its legacy slot instead. Malformed values
-/// exit with a diagnostic.
-pub fn ablation_nodes(legacy_var: &str, default: u64) -> u64 {
-    let parsed = Budget::from_lookup(|key| {
-        let var = if key == "BIST_SWEEP_NODES" {
-            legacy_var
-        } else {
-            key
-        };
-        std::env::var(var).ok()
-    });
-    match parsed {
-        Ok(budget) => budget.node_limit.unwrap_or(default),
-        Err(mut e) => {
-            // The parser saw the binary's variable under the legacy slot's
-            // name; report the variable the operator actually set.
-            if e.var == "BIST_SWEEP_NODES" {
-                e.var = legacy_var.to_string();
-            }
-            eprintln!("solver budget: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Reads the per-instance ILP budget from `BIST_TIME_LIMIT_SECS`.
-#[deprecated(note = "use `budget_from_env` / `table_time_budget` and `Budget`")]
-pub fn time_limit_from_env() -> Duration {
-    table_time_budget()
-}
-
 /// The synthesis configuration used by the harness: the paper's 8-bit cost
 /// model with the given time budget per ILP solve.
 pub fn quick_config(limit: Duration) -> SynthesisConfig {
-    SynthesisConfig::time_boxed(limit)
+    quick_config_budget(Budget::time(limit))
 }
 
 /// [`quick_config`] under a full [`Budget`] (time limit plus any absolute
@@ -115,10 +80,10 @@ pub fn sweep_config(node_limit: u64) -> SynthesisConfig {
     }
 }
 
-/// Reads the per-solve node budget of the sweep comparison from the
-/// environment (default [`DEFAULT_SWEEP_NODES`]).
-#[deprecated(note = "use `budget_from_env` and `Budget`")]
-pub fn sweep_nodes_from_env() -> u64 {
+/// Reads the per-solve node budget of the deterministic node-budgeted runs
+/// (sweep, RTL, service) from `BIST_NODE_LIMIT` (default
+/// [`DEFAULT_SWEEP_NODES`]).
+pub fn node_limit_from_env() -> u64 {
     budget_from_env()
         .or_nodes(DEFAULT_SWEEP_NODES)
         .node_limit

@@ -81,16 +81,11 @@ impl SynthesisConfig {
         }
     }
 
-    /// A configuration with the given wall-clock budget per ILP solve; this
-    /// mirrors the paper's 24-CPU-hour cap, scaled to interactive runs.
-    pub fn time_boxed(limit: Duration) -> Self {
-        Self::budgeted(Budget::time(limit))
-    }
-
     /// A configuration under an arbitrary [`Budget`] per ILP solve — the
     /// preset the job service builds on (node limits for deterministic
     /// sweeps, wall-clock limits for interactive runs, deadlines for
-    /// batches).
+    /// batches). `budgeted(Budget::time(t))` mirrors the paper's
+    /// 24-CPU-hour cap, scaled to interactive runs.
     pub fn budgeted(budget: Budget) -> Self {
         Self {
             solver: SolverConfig {
@@ -100,42 +95,6 @@ impl SynthesisConfig {
             },
             ..Self::default()
         }
-    }
-
-    /// Builder-style setter for the register count.
-    pub fn with_registers(mut self, registers: usize) -> Self {
-        self.num_registers = Some(registers);
-        self
-    }
-
-    /// Builder-style setter for the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Builder-style toggle for the search-space reduction.
-    pub fn with_search_space_reduction(mut self, enabled: bool) -> Self {
-        self.search_space_reduction = enabled;
-        self
-    }
-
-    /// Builder-style toggle for commutative-port swapping.
-    pub fn with_commutative_swapping(mut self, enabled: bool) -> Self {
-        self.commutative_swapping = enabled;
-        self
-    }
-
-    /// Builder-style setter for the solver configuration.
-    pub fn with_solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Builder-style toggle for the simulated RTL validation pass.
-    pub fn with_rtl_validation(mut self, enabled: bool) -> Self {
-        self.rtl_validation = enabled;
-        self
     }
 }
 
@@ -153,16 +112,18 @@ mod tests {
     }
 
     #[test]
-    fn builders_compose() {
-        let config = SynthesisConfig::exact()
-            .with_registers(6)
-            .with_search_space_reduction(false)
-            .with_commutative_swapping(true);
+    fn presets_compose_with_field_updates() {
+        let config = SynthesisConfig {
+            num_registers: Some(6),
+            search_space_reduction: false,
+            commutative_swapping: true,
+            ..SynthesisConfig::exact()
+        };
         assert_eq!(config.num_registers, Some(6));
         assert!(!config.search_space_reduction);
         assert!(config.commutative_swapping);
         assert!(config.solver.budget.is_unlimited());
-        let boxed = SynthesisConfig::time_boxed(Duration::from_secs(5));
+        let boxed = SynthesisConfig::budgeted(Budget::time(Duration::from_secs(5)));
         assert_eq!(boxed.solver.budget.time_limit, Some(Duration::from_secs(5)));
         let budgeted = SynthesisConfig::budgeted(Budget::nodes(50));
         assert_eq!(budgeted.solver.budget.node_limit, Some(50));

@@ -223,7 +223,10 @@ mod tests {
     #[test]
     fn swapping_creates_variables_for_commutative_ops() {
         let input = benchmarks::figure1();
-        let config = SynthesisConfig::default().with_commutative_swapping(true);
+        let config = SynthesisConfig {
+            commutative_swapping: true,
+            ..SynthesisConfig::default()
+        };
         let mut f = BistFormulation::new(&input, &config).unwrap();
         f.add_interconnect();
         // All four figure1 operations are add/mul with variable operands.

@@ -297,7 +297,10 @@ mod tests {
     #[test]
     fn too_few_registers_is_rejected() {
         let input = benchmarks::figure1();
-        let config = SynthesisConfig::default().with_registers(2);
+        let config = SynthesisConfig {
+            num_registers: Some(2),
+            ..SynthesisConfig::default()
+        };
         assert!(matches!(
             BistFormulation::new(&input, &config),
             Err(CoreError::TooFewRegisters { minimum: 3, .. })
@@ -307,7 +310,10 @@ mod tests {
     #[test]
     fn extra_registers_are_allowed() {
         let input = benchmarks::figure1();
-        let config = SynthesisConfig::default().with_registers(4);
+        let config = SynthesisConfig {
+            num_registers: Some(4),
+            ..SynthesisConfig::default()
+        };
         let formulation = BistFormulation::new(&input, &config).unwrap();
         assert_eq!(formulation.num_registers(), 4);
         assert_eq!(formulation.x.len(), 8 * 4);
@@ -317,7 +323,10 @@ mod tests {
     fn reduction_adds_fixing_rows() {
         let input = benchmarks::figure1();
         let with = SynthesisConfig::default();
-        let without = SynthesisConfig::default().with_search_space_reduction(false);
+        let without = SynthesisConfig {
+            search_space_reduction: false,
+            ..SynthesisConfig::default()
+        };
         let a = BistFormulation::new(&input, &with).unwrap();
         let b = BistFormulation::new(&input, &without).unwrap();
         assert!(a.model.num_constraints() > b.model.num_constraints());

@@ -132,9 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn time_boxed_reference_still_returns_a_design() {
+    fn time_budgeted_reference_still_returns_a_design() {
         let input = benchmarks::tseng();
-        let config = SynthesisConfig::time_boxed(std::time::Duration::from_millis(200));
+        let config = SynthesisConfig::budgeted(bist_ilp::Budget::time(
+            std::time::Duration::from_millis(200),
+        ));
         let design = synthesize_reference(&input, &config).unwrap();
         assert_eq!(design.datapath.num_registers(), 5);
         assert!(design.area.total() > 0);

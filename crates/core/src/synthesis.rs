@@ -351,9 +351,11 @@ mod tests {
     }
 
     #[test]
-    fn time_boxed_synthesis_still_returns_a_valid_design() {
+    fn time_budgeted_synthesis_still_returns_a_valid_design() {
         let input = benchmarks::tseng();
-        let config = SynthesisConfig::time_boxed(std::time::Duration::from_millis(500));
+        let config = SynthesisConfig::budgeted(bist_ilp::Budget::time(
+            std::time::Duration::from_millis(500),
+        ));
         let design = synthesize_bist(&input, 3, &config).unwrap();
         assert_eq!(design.sessions, 3);
         assert_eq!(design.datapath.num_registers(), 5);
@@ -366,7 +368,10 @@ mod tests {
     #[test]
     fn rtl_validation_flag_simulates_every_extracted_design() {
         let input = benchmarks::figure1();
-        let config = SynthesisConfig::exact().with_rtl_validation(true);
+        let config = SynthesisConfig {
+            rtl_validation: true,
+            ..SynthesisConfig::exact()
+        };
         for k in 1..=2 {
             let design = synthesize_bist(&input, k, &config).unwrap();
             // The flag is observational: re-running the pass standalone on

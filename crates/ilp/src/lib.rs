@@ -27,11 +27,10 @@
 //! * a [`cuts`] pool of knapsack-cover and clique cutting planes, separated
 //!   at the root and re-checked at improved incumbents,
 //! * a branch-and-bound [`solver`] with configurable bounding
-//!   (LP relaxation, propagation-only, or hybrid), branching rules up to
-//!   pseudo-cost / reliability branching with strong-branching
-//!   initialisation, reduced-cost bound fixing against the incumbent,
-//!   search strategies, a greedy diving primal heuristic and wall-clock
-//!   limits,
+//!   (LP relaxation, propagation-only, or hybrid), pseudo-cost /
+//!   reliability branching with strong-branching initialisation,
+//!   reduced-cost bound fixing against the incumbent, depth- or best-first
+//!   search, a greedy diving primal heuristic and wall-clock limits,
 //! * a CPLEX-style `.lp` file writer ([`lpfile`]) for debugging and for
 //!   feeding the very same model to an external solver if one is available,
 //! * a [`session`] layer — [`SolveSession`] with a unified [`Budget`]
@@ -67,7 +66,6 @@ pub mod heuristics;
 pub mod json;
 pub mod lpfile;
 pub mod model;
-pub mod presolve;
 pub mod propagate;
 pub mod reduce;
 pub mod session;
@@ -86,13 +84,8 @@ pub use session::{Budget, BudgetError, CancelToken, SolveEvent, SolveSession};
 pub use simplex::{Basis, LpSolution, LpStatus, Pricing, ReducedCosts};
 pub use snapshot::{model_fingerprint, SnapshotError, SolveSnapshot};
 pub use solution::{CutCounts, Improvement, Solution, SolveStats, Status};
-pub use solver::{BoundMode, BranchRule, SearchOrder, SolverConfig, SolverConfigBuilder};
+pub use solver::{BoundMode, SearchOrder, SolverConfig};
 pub use sparse::{RowRef, SparseModel};
-
-/// Backwards-compatible alias: the branching enum was named `Branching`
-/// before the pseudo-cost rule landed in the search layer.
-#[deprecated(since = "0.2.0", note = "use `BranchRule` instead")]
-pub type Branching = BranchRule;
 
 /// Numerical tolerance used throughout the crate when comparing floating
 /// point activities, bounds and objective values.

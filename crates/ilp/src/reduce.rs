@@ -1,11 +1,10 @@
 //! Reducing presolve: composable model-to-model transformations.
 //!
-//! The [`crate::presolve`] module *inspects* a model (fixed variables,
-//! redundant rows) without changing it. This module goes further: it rewrites
-//! the model into a smaller, tighter [`ReducedModel`] that the solver
-//! explores instead, with a round-trip [`ReducedModel::lift`] that maps any
-//! reduced-space assignment back to the original variable indexing (and
-//! [`ReducedModel::project`] for warm starts travelling the other way).
+//! This module rewrites a model into a smaller, tighter [`ReducedModel`]
+//! that the solver explores instead, with a round-trip
+//! [`ReducedModel::lift`] that maps any reduced-space assignment back to
+//! the original variable indexing (and [`ReducedModel::project`] for warm
+//! starts travelling the other way).
 //!
 //! The pipeline composes these passes, iterated to a fixpoint:
 //!
@@ -499,9 +498,10 @@ thread_local! {
 }
 
 /// Number of [`reduce_prefix`] runs performed by the *current thread* since
-/// it started. The presolve benchmark measures the delta of this counter
-/// around an engine sweep to verify — rather than assume — that the shared
-/// base model is reduced exactly once per circuit and never again per k.
+/// it started. The `search_gates` integration test measures the delta of
+/// this counter around an engine sweep to verify — rather than assume —
+/// that the shared base model is reduced exactly once per circuit and never
+/// again per k.
 pub fn prefix_reductions_on_thread() -> usize {
     PREFIX_REDUCTIONS.with(|c| c.get())
 }
@@ -1612,7 +1612,10 @@ mod tests {
         assert!(m.is_feasible(&warm, 1e-6));
         let projected = reduced.project(&warm).expect("warm start survives");
         assert_eq!(projected.len(), reduced.model.num_vars());
-        let config = SolverConfig::exact().with_initial_solution(warm);
+        let config = SolverConfig {
+            initial_solution: Some(warm),
+            ..SolverConfig::exact()
+        };
         let sol = solve_reduced(&m, &reduced, &config).unwrap();
         assert!(sol.is_optimal());
         assert!((sol.objective() - 1.0).abs() < 1e-9);

@@ -24,9 +24,10 @@
 //! model.add_leq([(x, 1.0), (y, 1.0)], 1.0, "cap");
 //! model.set_objective([(x, 1.0), (y, 2.0)], Sense::Maximize);
 //!
-//! let config = SolverConfig::builder()
-//!     .budget(Budget::unlimited().with_nodes(10_000))
-//!     .build();
+//! let config = SolverConfig {
+//!     budget: Budget::unlimited().with_nodes(10_000),
+//!     ..SolverConfig::default()
+//! };
 //! let mut incumbents = 0;
 //! let solution = SolveSession::with_config(&model, config)
 //!     .on_event(|event| {
@@ -197,7 +198,6 @@ impl Budget {
     /// | Variable | Meaning |
     /// |----------|---------|
     /// | `BIST_NODE_LIMIT` | node limit per solve (integer ≥ 1) |
-    /// | `BIST_SWEEP_NODES` | legacy alias for the node limit; `BIST_NODE_LIMIT` takes precedence |
     /// | `BIST_TIME_LIMIT_SECS` | wall-clock limit per solve in seconds (fractions allowed, clamped to ≥ 1 ms) |
     /// | `BIST_DEADLINE_SECS` | absolute deadline, given as seconds from now |
     /// | `BIST_CACHE_MB` | job-service solve-cache capacity in MiB (integer; `0` disables the cache) |
@@ -223,19 +223,19 @@ impl Budget {
     /// Same contract as [`Budget::from_env`].
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, BudgetError> {
         let mut budget = Budget::unlimited();
-        // Canonical node limit beats the legacy sweep-specific name.
-        for var in ["BIST_NODE_LIMIT", "BIST_SWEEP_NODES"] {
-            if let Some(raw) = get(var) {
-                let nodes: u64 = raw
-                    .trim()
-                    .parse()
-                    .map_err(|_| BudgetError::new(var, &raw, "expected an integer"))?;
-                if nodes == 0 {
-                    return Err(BudgetError::new(var, &raw, "node limit must be at least 1"));
-                }
-                budget.node_limit = Some(nodes);
-                break;
+        if let Some(raw) = get("BIST_NODE_LIMIT") {
+            let nodes: u64 = raw
+                .trim()
+                .parse()
+                .map_err(|_| BudgetError::new("BIST_NODE_LIMIT", &raw, "expected an integer"))?;
+            if nodes == 0 {
+                return Err(BudgetError::new(
+                    "BIST_NODE_LIMIT",
+                    &raw,
+                    "node limit must be at least 1",
+                ));
             }
+            budget.node_limit = Some(nodes);
         }
         if let Some(raw) = get("BIST_TIME_LIMIT_SECS") {
             let secs = parse_seconds("BIST_TIME_LIMIT_SECS", &raw)?;
@@ -423,8 +423,7 @@ impl<'m> SolveSession<'m> {
         Self::with_config(model, SolverConfig::default())
     }
 
-    /// A session over `model` with an explicit configuration (typically
-    /// from [`SolverConfig::builder`]).
+    /// A session over `model` with an explicit configuration.
     pub fn with_config(model: &'m Model, config: SolverConfig) -> Self {
         Self {
             model,
@@ -595,18 +594,6 @@ mod tests {
         assert!(budget.is_unlimited());
         assert!(!budget.nodes_exhausted(u64::MAX - 1));
         assert!(!budget.time_expired(Instant::now()));
-    }
-
-    #[test]
-    fn budget_canonical_node_var_beats_legacy_alias() {
-        let both = Budget::from_lookup(lookup(&[
-            ("BIST_NODE_LIMIT", "7"),
-            ("BIST_SWEEP_NODES", "99"),
-        ]))
-        .unwrap();
-        assert_eq!(both.node_limit, Some(7));
-        let legacy_only = Budget::from_lookup(lookup(&[("BIST_SWEEP_NODES", "99")])).unwrap();
-        assert_eq!(legacy_only.node_limit, Some(99));
     }
 
     #[test]

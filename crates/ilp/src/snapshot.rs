@@ -28,7 +28,7 @@
 //! matrix + objective it was solving, and the resume path rejects a
 //! mismatch loudly ([`crate::IlpError::Snapshot`]) instead of silently
 //! continuing a different tree. The solver *configuration* is not part of
-//! the snapshot — resuming under a different bound mode or branching rule
+//! the snapshot — resuming under a different bound mode or budget
 //! is well-defined (the tree stays valid) but forfeits the
 //! identical-to-uninterrupted guarantee; callers that need it (the job
 //! service cache) key snapshots by configuration as well.

@@ -15,9 +15,10 @@
 //!   the best-first heap) and children re-solve with the dual simplex from
 //!   it instead of running two-phase primal from scratch; chains
 //!   re-factorise cold after a bounded number of re-solves.
-//! * **Pseudo-cost / reliability branching** ([`BranchRule::PseudoCost`],
-//!   the default) with strong-branching initialisation at shallow depth,
-//!   learning per-variable dual-bound degradations from every branching.
+//! * **Pseudo-cost / reliability branching** with strong-branching
+//!   initialisation at shallow depth, learning per-variable dual-bound
+//!   degradations from every branching; nodes without an LP point branch
+//!   on the most-constrained variable.
 //! * **Reduced-cost bound fixing** — at LP nodes with an incumbent, duals
 //!   prove some integral variables cannot leave their bound in any
 //!   improving solution; the tightened bounds feed the propagation
@@ -43,6 +44,9 @@ use crate::solution::{Solution, SolveStats, Status};
 use crate::sparse::SparseModel;
 use crate::{EPS, INT_EPS};
 
+/// Pivot budget per LP relaxation solve (node relaxations, the root cut
+/// loop and the heuristic LPs).
+const MAX_LP_PIVOTS: u64 = 50_000;
 /// Maximum separation rounds at the root node.
 const ROOT_CUT_ROUNDS: usize = 4;
 /// Maximum in-tree separation passes (re-checks at improved incumbents).
@@ -144,29 +148,6 @@ pub enum BoundMode {
     },
 }
 
-/// Variable selection strategy for branching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchRule {
-    /// Branch on the first unfixed integral variable (model order).
-    InputOrder,
-    /// Branch on the unfixed integral variable that appears in the largest
-    /// number of constraints.
-    MostConstrained,
-    /// Branch on the variable whose LP relaxation value is most fractional;
-    /// falls back to [`BranchRule::MostConstrained`] when no LP value is
-    /// available at the node.
-    MostFractional,
-    /// Pseudo-cost (reliability) branching: keep per-variable averages of
-    /// the observed dual-bound degradation per unit of fractionality in
-    /// each direction, pick the fractional variable maximising the product
-    /// of its estimated up/down degradations, and initialise unobserved
-    /// variables at shallow depth by *strong branching* (solving both
-    /// child LPs warm from the node's basis under a small pivot budget).
-    /// Falls back to [`BranchRule::MostConstrained`] when the node has no
-    /// LP values (propagation-only bounds).
-    PseudoCost,
-}
-
 /// Node exploration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchOrder {
@@ -191,14 +172,8 @@ pub struct SolverConfig {
     pub cancel: Option<CancelToken>,
     /// Dual bound computation mode.
     pub bound_mode: BoundMode,
-    /// Branching variable selection.
-    pub branching: BranchRule,
     /// Node exploration order.
     pub search: SearchOrder,
-    /// Stop as soon as the relative gap drops below this value.
-    pub gap_tolerance: f64,
-    /// Pivot budget per LP relaxation solve.
-    pub max_lp_pivots: u64,
     /// Simplex pricing rule for every LP solved during the search (node
     /// relaxations, root cut loop, strong branching, heuristic LPs).
     /// Defaults to [`Pricing::Devex`]; [`Pricing::Dantzig`] is kept as the
@@ -209,8 +184,6 @@ pub struct SolverConfig {
     /// validity test suite, which re-checks every cut against known integer
     /// optima.
     pub record_cuts: bool,
-    /// Run the greedy dive heuristic before the tree search.
-    pub dive_heuristic: bool,
     /// Optional warm-start assignment; used as the initial incumbent when it
     /// is feasible for the model.
     pub initial_solution: Option<Vec<f64>>,
@@ -229,18 +202,6 @@ pub struct SolverConfig {
     /// [`BoundMode::Propagation`], which never produces the LP points
     /// separation needs.
     pub cuts: bool,
-    /// Re-solve child-node LPs with the dual simplex from the parent's
-    /// cached optimal [`Basis`] instead of cold two-phase primal. On by
-    /// default; node LPs fall back to a cold factorisation whenever the
-    /// basis was evicted, aged out, or invalidated by new cutting planes.
-    /// Has no effect under [`BoundMode::Propagation`].
-    pub lp_warm_start: bool,
-    /// Reduced-cost bound fixing: at every LP node with an incumbent, fix
-    /// integral variables whose reduced cost proves they cannot move off
-    /// their bound in any improving solution, and feed the tightened
-    /// bounds to the propagation worklist. On by default. Requires the
-    /// warm-capable LP path (`lp_warm_start`) for the reduced costs.
-    pub rc_fixing: bool,
     /// Run shallow in-tree Gomory rounds from the first descent instead of
     /// waiting for the node counter to mature. Off by default: early extra
     /// rows perturb degenerate vertex selection and with it pseudo-cost
@@ -270,19 +231,13 @@ impl Default for SolverConfig {
             budget: Budget::time(Duration::from_secs(60)),
             cancel: None,
             bound_mode: BoundMode::Hybrid { lp_depth: 4 },
-            branching: BranchRule::PseudoCost,
             search: SearchOrder::DepthFirst,
-            gap_tolerance: 1e-9,
-            max_lp_pivots: 50_000,
             pricing: Pricing::default(),
             record_cuts: false,
-            dive_heuristic: true,
             initial_solution: None,
             initial_solutions: Vec::new(),
             presolve: true,
             cuts: true,
-            lp_warm_start: true,
-            rc_fixing: true,
             eager_tree_cuts: false,
             snapshot: false,
             resume: None,
@@ -291,13 +246,6 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// Starts a typed builder from the default configuration. Presets:
-    /// [`SolverConfigBuilder::exact`], [`SolverConfigBuilder::budgeted`],
-    /// [`SolverConfigBuilder::prop_only`].
-    pub fn builder() -> SolverConfigBuilder {
-        SolverConfigBuilder::default()
-    }
-
     /// A configuration tuned for exhaustive solving of small models in tests:
     /// no limits at all, LP relaxation bound everywhere.
     pub fn exact() -> Self {
@@ -306,293 +254,6 @@ impl SolverConfig {
             bound_mode: BoundMode::LpRelaxation,
             ..Self::default()
         }
-    }
-
-    /// The default configuration under the given [`Budget`].
-    pub fn budgeted(budget: Budget) -> Self {
-        Self {
-            budget,
-            ..Self::default()
-        }
-    }
-
-    /// A cheap configuration for large models: propagation bounds only and
-    /// the given wall-clock budget.
-    pub fn time_boxed(limit: Duration) -> Self {
-        Self {
-            budget: Budget::time(limit),
-            bound_mode: BoundMode::Propagation,
-            ..Self::default()
-        }
-    }
-
-    /// Builder-style setter for the whole budget.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Builder-style installation of a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Builder-style setter for the time limit.
-    #[deprecated(note = "set a `Budget` via `SolverConfig::builder()` or the `budget` field")]
-    pub fn with_time_limit(mut self, limit: Option<Duration>) -> Self {
-        self.budget.time_limit = limit;
-        self
-    }
-
-    /// Builder-style setter for the bound mode.
-    pub fn with_bound_mode(mut self, mode: BoundMode) -> Self {
-        self.bound_mode = mode;
-        self
-    }
-
-    /// Builder-style setter for the branching rule.
-    pub fn with_branching(mut self, branching: BranchRule) -> Self {
-        self.branching = branching;
-        self
-    }
-
-    /// Builder-style setter for the simplex pricing rule.
-    pub fn with_pricing(mut self, pricing: Pricing) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
-    /// Builder-style toggle for recording emitted cuts in the stats.
-    pub fn with_record_cuts(mut self, enabled: bool) -> Self {
-        self.record_cuts = enabled;
-        self
-    }
-
-    /// Builder-style toggle for dual-simplex warm starts of node LPs.
-    pub fn with_lp_warm_start(mut self, enabled: bool) -> Self {
-        self.lp_warm_start = enabled;
-        self
-    }
-
-    /// Builder-style toggle for reduced-cost bound fixing.
-    pub fn with_rc_fixing(mut self, enabled: bool) -> Self {
-        self.rc_fixing = enabled;
-        self
-    }
-
-    /// Builder-style setter for the search order.
-    pub fn with_search(mut self, search: SearchOrder) -> Self {
-        self.search = search;
-        self
-    }
-
-    /// Builder-style setter for a warm-start assignment.
-    pub fn with_initial_solution(mut self, values: Vec<f64>) -> Self {
-        self.initial_solution = Some(values);
-        self
-    }
-
-    /// Builder-style addition of a warm-start candidate (see
-    /// [`SolverConfig::initial_solutions`]).
-    pub fn with_warm_candidate(mut self, values: Vec<f64>) -> Self {
-        self.initial_solutions.push(values);
-        self
-    }
-
-    /// Builder-style toggle for the reducing presolve.
-    pub fn with_presolve(mut self, enabled: bool) -> Self {
-        self.presolve = enabled;
-        self
-    }
-
-    /// Builder-style toggle for the cut pool.
-    pub fn with_cuts(mut self, enabled: bool) -> Self {
-        self.cuts = enabled;
-        self
-    }
-
-    /// Builder-style toggle for snapshot capture on early stop.
-    pub fn with_snapshot(mut self, enabled: bool) -> Self {
-        self.snapshot = enabled;
-        self
-    }
-
-    /// Builder-style installation of a snapshot to resume from.
-    pub fn with_resume(mut self, snapshot: Arc<SolveSnapshot>) -> Self {
-        self.resume = Some(snapshot);
-        self
-    }
-}
-
-/// Typed builder for [`SolverConfig`], with presets for the three common
-/// shapes of a solve. Obtained from [`SolverConfig::builder`] or one of the
-/// preset constructors.
-///
-/// ```
-/// use std::time::Duration;
-/// use bist_ilp::{Budget, SearchOrder, SolverConfig, SolverConfigBuilder};
-///
-/// // A deterministic, node-limited best-first search with a 10 s cap.
-/// let config = SolverConfig::builder()
-///     .budget(Budget::nodes(500).with_time(Duration::from_secs(10)))
-///     .search(SearchOrder::BestFirst)
-///     .build();
-/// assert_eq!(config.budget.node_limit, Some(500));
-///
-/// // Presets: exhaustive, budgeted, and LP-free propagation-only solving.
-/// let exact = SolverConfigBuilder::exact().build();
-/// assert!(exact.budget.is_unlimited());
-/// let prop = SolverConfigBuilder::prop_only().build();
-/// assert!(!prop.cuts);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SolverConfigBuilder {
-    config: SolverConfig,
-}
-
-impl SolverConfigBuilder {
-    /// Preset: exhaustive solving (no limits, LP bounds everywhere), as
-    /// [`SolverConfig::exact`].
-    pub fn exact() -> Self {
-        Self {
-            config: SolverConfig::exact(),
-        }
-    }
-
-    /// Preset: the default configuration under `budget`.
-    pub fn budgeted(budget: Budget) -> Self {
-        Self {
-            config: SolverConfig::budgeted(budget),
-        }
-    }
-
-    /// Preset: propagation-only bounding — no LP relaxations anywhere, so
-    /// the LP-dependent layers (cut pool, warm starts, reduced-cost fixing)
-    /// are switched off rather than left as inert flags.
-    pub fn prop_only() -> Self {
-        let config = SolverConfig {
-            bound_mode: BoundMode::Propagation,
-            cuts: false,
-            lp_warm_start: false,
-            rc_fixing: false,
-            ..SolverConfig::default()
-        };
-        Self { config }
-    }
-
-    /// Sets the solve budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Installs a cancellation token.
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.config.cancel = Some(token);
-        self
-    }
-
-    /// Sets the dual bound mode.
-    pub fn bound_mode(mut self, mode: BoundMode) -> Self {
-        self.config.bound_mode = mode;
-        self
-    }
-
-    /// Sets the branching rule.
-    pub fn branch_rule(mut self, rule: BranchRule) -> Self {
-        self.config.branching = rule;
-        self
-    }
-
-    /// Sets the node exploration order.
-    pub fn search(mut self, order: SearchOrder) -> Self {
-        self.config.search = order;
-        self
-    }
-
-    /// Sets the relative gap tolerance.
-    pub fn gap_tolerance(mut self, tolerance: f64) -> Self {
-        self.config.gap_tolerance = tolerance;
-        self
-    }
-
-    /// Sets the pivot budget per LP solve.
-    pub fn max_lp_pivots(mut self, pivots: u64) -> Self {
-        self.config.max_lp_pivots = pivots;
-        self
-    }
-
-    /// Sets the simplex pricing rule.
-    pub fn pricing(mut self, pricing: Pricing) -> Self {
-        self.config.pricing = pricing;
-        self
-    }
-
-    /// Toggles recording emitted cuts in the stats.
-    pub fn record_cuts(mut self, enabled: bool) -> Self {
-        self.config.record_cuts = enabled;
-        self
-    }
-
-    /// Toggles the greedy dive heuristic.
-    pub fn dive_heuristic(mut self, enabled: bool) -> Self {
-        self.config.dive_heuristic = enabled;
-        self
-    }
-
-    /// Adds a warm-start candidate (may be called repeatedly).
-    pub fn warm_start(mut self, values: Vec<f64>) -> Self {
-        self.config.initial_solutions.push(values);
-        self
-    }
-
-    /// Toggles the reducing presolve.
-    pub fn presolve(mut self, enabled: bool) -> Self {
-        self.config.presolve = enabled;
-        self
-    }
-
-    /// Toggles the cut pool.
-    pub fn cuts(mut self, enabled: bool) -> Self {
-        self.config.cuts = enabled;
-        self
-    }
-
-    /// Toggles dual-simplex warm starts of node LPs.
-    pub fn lp_warm_start(mut self, enabled: bool) -> Self {
-        self.config.lp_warm_start = enabled;
-        self
-    }
-
-    /// Toggles reduced-cost bound fixing.
-    pub fn rc_fixing(mut self, enabled: bool) -> Self {
-        self.config.rc_fixing = enabled;
-        self
-    }
-
-    /// Toggles eager shallow Gomory rounds (see
-    /// [`SolverConfig::eager_tree_cuts`]).
-    pub fn eager_tree_cuts(mut self, enabled: bool) -> Self {
-        self.config.eager_tree_cuts = enabled;
-        self
-    }
-
-    /// Toggles snapshot capture on early stop.
-    pub fn snapshot(mut self, enabled: bool) -> Self {
-        self.config.snapshot = enabled;
-        self
-    }
-
-    /// Installs a snapshot to resume from.
-    pub fn resume(mut self, snapshot: Arc<SolveSnapshot>) -> Self {
-        self.config.resume = Some(snapshot);
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> SolverConfig {
-        self.config
     }
 }
 
@@ -751,8 +412,8 @@ fn restore_node(snap: &SnapshotNode, base: &Domains) -> Node {
 
 /// Per-variable pseudo-cost accumulators: average observed dual-bound
 /// degradation per unit of fractionality, per branching direction. Fed by
-/// real branchings and by strong-branching probes; consulted by
-/// [`BranchRule::PseudoCost`].
+/// real branchings and by strong-branching probes; consulted by the
+/// branching rule.
 #[derive(Debug, Default)]
 struct PseudoCosts {
     up_sum: Vec<f64>,
@@ -1247,28 +908,14 @@ impl<'a> BranchAndBound<'a> {
             if self.is_cancelled() || self.config.budget.time_expired(start) {
                 return true;
             }
-            let (lp, basis) = if self.config.lp_warm_start {
-                solve_lp_basis_priced(
-                    self.propagator.matrix(),
-                    &self.objective,
-                    self.objective_constant,
-                    domains,
-                    self.config.max_lp_pivots,
-                    self.config.pricing,
-                )
-            } else {
-                (
-                    solve_lp_priced(
-                        self.propagator.matrix(),
-                        &self.objective,
-                        self.objective_constant,
-                        domains,
-                        self.config.max_lp_pivots,
-                        self.config.pricing,
-                    ),
-                    None,
-                )
-            };
+            let (lp, basis) = solve_lp_basis_priced(
+                self.propagator.matrix(),
+                &self.objective,
+                self.objective_constant,
+                domains,
+                MAX_LP_PIVOTS,
+                self.config.pricing,
+            );
             stats.lp_solves += 1;
             tally_lp(stats, &lp);
             match lp.status {
@@ -1418,7 +1065,7 @@ impl<'a> BranchAndBound<'a> {
         // solve never descends past the root.
         let skip_root_work = self.config.budget.time_expired(start) || self.is_cancelled();
 
-        if self.config.dive_heuristic && !skip_root_work {
+        if !skip_root_work {
             if let Some(values) = greedy_dive(&self.propagator, &root, &self.objective) {
                 if self.model.is_feasible(&values, 1e-6) {
                     let obj = self.internal_objective(&values);
@@ -1709,31 +1356,29 @@ impl<'a> BranchAndBound<'a> {
             // duals prove some integral variables cannot leave their bound
             // in any improving solution. Tightened bounds feed the regular
             // propagation worklist.
-            if self.config.rc_fixing {
-                let incumbent_now = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
-                if let Some(lp) = bound.as_ref() {
-                    if let Some(rc) = &lp.reduced_costs {
-                        let changed = reduced_cost_fixing(
-                            &mut node.domains,
-                            lp.objective,
-                            rc,
-                            &lp.values,
-                            incumbent_now,
-                        );
-                        if !changed.is_empty() {
-                            stats.rc_fixed_bounds += changed.len() as u64;
-                            // The box now encodes "improves on the
-                            // incumbent", not plain feasibility; conflicts
-                            // below this node must not become global cuts.
-                            node.nogood_ok = false;
-                            stats.propagations += 1;
-                            if self
-                                .propagator
-                                .propagate_seeded(&mut node.domains, &changed)
-                                == PropagationResult::Infeasible
-                            {
-                                continue;
-                            }
+            let incumbent_now = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
+            if let Some(lp) = bound.as_ref() {
+                if let Some(rc) = &lp.reduced_costs {
+                    let changed = reduced_cost_fixing(
+                        &mut node.domains,
+                        lp.objective,
+                        rc,
+                        &lp.values,
+                        incumbent_now,
+                    );
+                    if !changed.is_empty() {
+                        stats.rc_fixed_bounds += changed.len() as u64;
+                        // The box now encodes "improves on the
+                        // incumbent", not plain feasibility; conflicts
+                        // below this node must not become global cuts.
+                        node.nogood_ok = false;
+                        stats.propagations += 1;
+                        if self
+                            .propagator
+                            .propagate_seeded(&mut node.domains, &changed)
+                            == PropagationResult::Infeasible
+                        {
+                            continue;
                         }
                     }
                 }
@@ -1949,7 +1594,7 @@ impl<'a> BranchAndBound<'a> {
             &self.objective,
             self.objective_constant,
             root,
-            self.config.max_lp_pivots,
+            MAX_LP_PIVOTS,
             self.config.pricing,
         );
         stats.lp_solves += 1;
@@ -2087,7 +1732,7 @@ impl<'a> BranchAndBound<'a> {
                 &distance,
                 0.0,
                 &node.domains,
-                self.config.max_lp_pivots,
+                MAX_LP_PIVOTS,
                 self.config.pricing,
             );
             stats.lp_solves += 1;
@@ -2273,98 +1918,73 @@ impl<'a> BranchAndBound<'a> {
     /// cached basis with the dual simplex when possible and falling back to
     /// a cold (re)factorisation otherwise.
     fn solve_node_lp(&mut self, node: &Node, stats: &mut SolveStats) -> SolvedNodeLp {
-        let max_pivots = self.config.max_lp_pivots;
         // A dual re-solve is only worth it while it stays *incremental*: a
         // child whose propagation/fixing moved half the bounds is re-solving
         // from scratch, and the primal does that better. Budget the warm
         // path at a small multiple of the expected incremental work and let
         // an overrun fall through to the cold factorization below.
-        let warm_budget = max_pivots.min(128 + self.propagator.matrix().num_rows() as u64 / 4);
-        if self.config.lp_warm_start {
-            if let Some(basis) = node.parent_basis.and_then(|key| self.cached_basis(key)) {
-                if basis.age() < BASIS_MAX_AGE {
-                    if let Some((lp, next)) = resolve_with_basis_priced(
-                        self.propagator.matrix(),
-                        &self.objective,
-                        self.objective_constant,
-                        &basis,
-                        &node.domains,
-                        warm_budget,
-                        self.config.pricing,
-                    ) {
-                        tally_lp(stats, &lp);
-                        stats.warm_lp_pivots += lp.pivots;
-                        match lp.status {
-                            LpStatus::Infeasible | LpStatus::Optimal => {
-                                stats.lp_solves += 1;
-                                stats.warm_lp_solves += 1;
-                                stats.node_lp_pivots.push(lp.pivots);
-                                if lp.status == LpStatus::Infeasible {
-                                    return SolvedNodeLp::Infeasible;
-                                }
-                                let basis_key = next.map(|b| self.store_basis(b));
-                                return SolvedNodeLp::Optimal {
-                                    objective: lp.objective,
-                                    values: lp.values,
-                                    reduced_costs: lp.reduced_costs,
-                                    basis_key,
-                                };
+        let warm_budget = MAX_LP_PIVOTS.min(128 + self.propagator.matrix().num_rows() as u64 / 4);
+        if let Some(basis) = node.parent_basis.and_then(|key| self.cached_basis(key)) {
+            if basis.age() < BASIS_MAX_AGE {
+                if let Some((lp, next)) = resolve_with_basis_priced(
+                    self.propagator.matrix(),
+                    &self.objective,
+                    self.objective_constant,
+                    &basis,
+                    &node.domains,
+                    warm_budget,
+                    self.config.pricing,
+                ) {
+                    tally_lp(stats, &lp);
+                    stats.warm_lp_pivots += lp.pivots;
+                    match lp.status {
+                        LpStatus::Infeasible | LpStatus::Optimal => {
+                            stats.lp_solves += 1;
+                            stats.warm_lp_solves += 1;
+                            stats.node_lp_pivots.push(lp.pivots);
+                            if lp.status == LpStatus::Infeasible {
+                                return SolvedNodeLp::Infeasible;
                             }
-                            // A dual re-solve that hits its pivot budget is
-                            // abandoned (its pivots were counted above); the
-                            // node re-factorises cold below.
-                            LpStatus::Unbounded | LpStatus::IterationLimit => {}
+                            let basis_key = next.map(|b| self.store_basis(b));
+                            return SolvedNodeLp::Optimal {
+                                objective: lp.objective,
+                                values: lp.values,
+                                reduced_costs: lp.reduced_costs,
+                                basis_key,
+                            };
                         }
+                        // A dual re-solve that hits its pivot budget is
+                        // abandoned (its pivots were counted above); the
+                        // node re-factorises cold below.
+                        LpStatus::Unbounded | LpStatus::IterationLimit => {}
                     }
                 }
             }
-            let (lp, new_basis) = solve_lp_basis_priced(
-                self.propagator.matrix(),
-                &self.objective,
-                self.objective_constant,
-                &node.domains,
-                max_pivots,
-                self.config.pricing,
-            );
-            stats.lp_solves += 1;
-            tally_lp(stats, &lp);
-            stats.refactorizations += 1;
-            stats.node_lp_pivots.push(lp.pivots);
-            match lp.status {
-                LpStatus::Infeasible => SolvedNodeLp::Infeasible,
-                LpStatus::Optimal => {
-                    let basis_key = new_basis.map(|b| self.store_basis(b));
-                    SolvedNodeLp::Optimal {
-                        objective: lp.objective,
-                        values: lp.values,
-                        reduced_costs: lp.reduced_costs,
-                        basis_key,
-                    }
-                }
-                LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
-            }
-        } else {
-            let lp = solve_lp_priced(
-                self.propagator.matrix(),
-                &self.objective,
-                self.objective_constant,
-                &node.domains,
-                max_pivots,
-                self.config.pricing,
-            );
-            stats.lp_solves += 1;
-            tally_lp(stats, &lp);
-            stats.node_lp_pivots.push(lp.pivots);
-            match lp.status {
-                LpStatus::Infeasible => SolvedNodeLp::Infeasible,
-                LpStatus::Optimal => SolvedNodeLp::Optimal {
+        }
+        let (lp, new_basis) = solve_lp_basis_priced(
+            self.propagator.matrix(),
+            &self.objective,
+            self.objective_constant,
+            &node.domains,
+            MAX_LP_PIVOTS,
+            self.config.pricing,
+        );
+        stats.lp_solves += 1;
+        tally_lp(stats, &lp);
+        stats.refactorizations += 1;
+        stats.node_lp_pivots.push(lp.pivots);
+        match lp.status {
+            LpStatus::Infeasible => SolvedNodeLp::Infeasible,
+            LpStatus::Optimal => {
+                let basis_key = new_basis.map(|b| self.store_basis(b));
+                SolvedNodeLp::Optimal {
                     objective: lp.objective,
                     values: lp.values,
                     reduced_costs: lp.reduced_costs,
-                    basis_key: None,
-                },
-                LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
+                    basis_key,
+                }
             }
+            LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
         }
     }
 
@@ -2381,7 +2001,7 @@ impl<'a> BranchAndBound<'a> {
             &self.objective,
             self.objective_constant,
             domains,
-            self.config.max_lp_pivots,
+            MAX_LP_PIVOTS,
             self.config.pricing,
         );
         stats.lp_solves += 1;
@@ -2392,6 +2012,14 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
+    /// Pseudo-cost (reliability) branching: keeps per-variable averages of
+    /// the observed dual-bound degradation per unit of fractionality in each
+    /// direction, picks the fractional variable maximising the product of
+    /// its estimated up/down degradations, and initialises unobserved
+    /// variables at shallow depth by strong branching (both child LPs warm
+    /// from the node's basis under a small pivot budget). Falls back to the
+    /// most-constrained variable (most constraint occurrences) when the node
+    /// has no LP point or the LP point is integral on every candidate.
     fn select_branch_var(
         &mut self,
         node: &Node,
@@ -2411,76 +2039,52 @@ impl<'a> BranchAndBound<'a> {
                 .copied()
                 .max_by_key(|&j| (self.occurrence[j], usize::MAX - j))
         };
-        let lp_values = lp.map(|l| l.values.as_slice());
-        match self.config.branching {
-            BranchRule::InputOrder => candidates.first().copied(),
-            BranchRule::MostConstrained => most_constrained(&candidates),
-            BranchRule::MostFractional => {
-                if let Some(values) = lp_values {
-                    let most = candidates
-                        .iter()
-                        .copied()
-                        .map(|j| {
-                            let frac = (values[j] - values[j].round()).abs();
-                            (j, frac)
-                        })
-                        .filter(|(_, frac)| *frac > INT_EPS)
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-                    if let Some((j, _)) = most {
-                        return Some(j);
-                    }
-                }
-                most_constrained(&candidates)
-            }
-            BranchRule::PseudoCost => {
-                let Some(lp) = lp else {
-                    // Propagation-only nodes carry no LP point to learn
-                    // from; use the static structural rule.
-                    return most_constrained(&candidates);
-                };
-                let fractional: Vec<(usize, f64)> = candidates
+        let Some(lp) = lp else {
+            // Propagation-only nodes carry no LP point to learn from; use
+            // the static structural rule.
+            return most_constrained(&candidates);
+        };
+        let fractional: Vec<(usize, f64)> = candidates
+            .iter()
+            .copied()
+            .filter(|&j| (lp.values[j] - lp.values[j].round()).abs() > INT_EPS)
+            .map(|j| (j, lp.values[j]))
+            .collect();
+        if fractional.is_empty() {
+            return most_constrained(&candidates);
+        }
+        // Reliability pass: at shallow depth, seed the pseudo-costs of
+        // unobserved fractional candidates by strong branching (both child
+        // LPs, warm from this node's basis).
+        if node.depth <= STRONG_DEPTH {
+            if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
+                let mut unreliable: Vec<usize> = fractional
                     .iter()
-                    .copied()
-                    .filter(|&j| (lp.values[j] - lp.values[j].round()).abs() > INT_EPS)
-                    .map(|j| (j, lp.values[j]))
+                    .map(|&(j, _)| j)
+                    .filter(|&j| self.pseudo.observations(j) < RELIABILITY)
                     .collect();
-                if fractional.is_empty() {
-                    return most_constrained(&candidates);
+                unreliable.sort_by_key(|&j| (usize::MAX - self.occurrence[j], j));
+                unreliable.truncate(STRONG_CANDIDATES);
+                for j in unreliable {
+                    self.strong_branch(&basis, &node.domains, j, lp, stats);
                 }
-                // Reliability pass: at shallow depth, seed the pseudo-costs
-                // of unobserved fractional candidates by strong branching
-                // (both child LPs, warm from this node's basis).
-                if node.depth <= STRONG_DEPTH {
-                    if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
-                        let mut unreliable: Vec<usize> = fractional
-                            .iter()
-                            .map(|&(j, _)| j)
-                            .filter(|&j| self.pseudo.observations(j) < RELIABILITY)
-                            .collect();
-                        unreliable.sort_by_key(|&j| (usize::MAX - self.occurrence[j], j));
-                        unreliable.truncate(STRONG_CANDIDATES);
-                        for j in unreliable {
-                            self.strong_branch(&basis, &node.domains, j, lp, stats);
-                        }
-                    }
-                }
-                fractional
-                    .into_iter()
-                    .map(|(j, v)| {
-                        let f = v - v.floor();
-                        let down = self.pseudo.estimate(j, false) * f.max(INT_EPS);
-                        let up = self.pseudo.estimate(j, true) * (1.0 - f).max(INT_EPS);
-                        (j, down.max(1e-9) * up.max(1e-9))
-                    })
-                    .max_by(|a, b| {
-                        a.1.partial_cmp(&b.1)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            // Ties break towards the smaller variable index.
-                            .then_with(|| b.0.cmp(&a.0))
-                    })
-                    .map(|(j, _)| j)
             }
         }
+        fractional
+            .into_iter()
+            .map(|(j, v)| {
+                let f = v - v.floor();
+                let down = self.pseudo.estimate(j, false) * f.max(INT_EPS);
+                let up = self.pseudo.estimate(j, true) * (1.0 - f).max(INT_EPS);
+                (j, down.max(1e-9) * up.max(1e-9))
+            })
+            .max_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    // Ties break towards the smaller variable index.
+                    .then_with(|| b.0.cmp(&a.0))
+            })
+            .map(|(j, _)| j)
     }
 
     /// Strong-branches variable `j` at an LP node: solves both child LPs
@@ -2713,23 +2317,16 @@ mod tests {
     use crate::model::Model;
 
     fn exact_configs() -> Vec<SolverConfig> {
+        let exact = |bound_mode, search| SolverConfig {
+            bound_mode,
+            search,
+            ..SolverConfig::exact()
+        };
         vec![
             SolverConfig::exact(),
-            SolverConfig::exact().with_bound_mode(BoundMode::Propagation),
-            SolverConfig::exact()
-                .with_bound_mode(BoundMode::Hybrid { lp_depth: 2 })
-                .with_branching(BranchRule::MostFractional),
-            SolverConfig::exact().with_search(SearchOrder::BestFirst),
-            SolverConfig::exact().with_branching(BranchRule::InputOrder),
-            SolverConfig::exact().with_branching(BranchRule::PseudoCost),
-            SolverConfig::exact()
-                .with_branching(BranchRule::PseudoCost)
-                .with_lp_warm_start(false)
-                .with_rc_fixing(false),
-            SolverConfig::exact()
-                .with_branching(BranchRule::MostConstrained)
-                .with_lp_warm_start(false)
-                .with_rc_fixing(false),
+            exact(BoundMode::Propagation, SearchOrder::DepthFirst),
+            exact(BoundMode::Hybrid { lp_depth: 2 }, SearchOrder::DepthFirst),
+            exact(BoundMode::LpRelaxation, SearchOrder::BestFirst),
         ]
     }
 
@@ -2797,7 +2394,11 @@ mod tests {
                 .collect::<Vec<_>>(),
             Sense::Minimize,
         );
-        let config = SolverConfig::exact().with_presolve(false).with_cuts(false);
+        let config = SolverConfig {
+            presolve: false,
+            cuts: false,
+            ..SolverConfig::exact()
+        };
         let sol = m.solve(&config).expect("solve");
         assert!(sol.is_optimal());
         let stats = sol.stats();
@@ -2809,20 +2410,6 @@ mod tests {
         assert!(stats.node_lp_pivots.iter().sum::<u64>() <= stats.lp_pivots);
         assert!(stats.warm_lp_pivots <= stats.lp_pivots);
         assert!(stats.refactorizations >= 1, "the root factorises cold");
-        // The cold configuration records none of the warm-path counters.
-        let cold = config
-            .with_lp_warm_start(false)
-            .with_rc_fixing(false)
-            .with_branching(BranchRule::MostConstrained);
-        let cold_sol = m.solve(&cold).expect("solve");
-        assert!(cold_sol.is_optimal());
-        assert!((cold_sol.objective() - sol.objective()).abs() < 1e-6);
-        let cold_stats = cold_sol.stats();
-        assert_eq!(cold_stats.warm_lp_solves, 0);
-        assert_eq!(cold_stats.refactorizations, 0);
-        assert_eq!(cold_stats.strong_branch_solves, 0);
-        assert_eq!(cold_stats.rc_fixed_bounds, 0);
-        assert!(!cold_stats.node_lp_pivots.is_empty());
     }
 
     #[test]
@@ -2919,7 +2506,10 @@ mod tests {
         let y = m.add_binary("y");
         m.add_geq([(x, 1.0), (y, 1.0)], 1.0, "c");
         m.set_objective([(x, 1.0), (y, 2.0)], Sense::Minimize);
-        let config = SolverConfig::exact().with_initial_solution(vec![1.0, 0.0]);
+        let config = SolverConfig {
+            initial_solution: Some(vec![1.0, 0.0]),
+            ..SolverConfig::exact()
+        };
         let sol = m.solve(&config).expect("solve");
         assert!(sol.is_optimal());
         assert!((sol.objective() - 1.0).abs() < 1e-6);
@@ -2942,7 +2532,6 @@ mod tests {
         );
         let config = SolverConfig {
             budget: Budget::nodes(1),
-            dive_heuristic: false,
             bound_mode: BoundMode::Propagation,
             ..SolverConfig::default()
         };
@@ -3009,11 +2598,13 @@ mod tests {
         use crate::session::SolveSession;
         let (m, warm) = deep_model();
         // Propagation bounds keep the tree deep enough to cancel into.
-        let config = SolverConfig::exact()
-            .with_bound_mode(BoundMode::Propagation)
-            .with_presolve(false)
-            .with_cuts(false)
-            .with_initial_solution(warm.clone());
+        let config = SolverConfig {
+            bound_mode: BoundMode::Propagation,
+            presolve: false,
+            cuts: false,
+            initial_solution: Some(warm.clone()),
+            ..SolverConfig::exact()
+        };
         let optimal = m.solve(&config).expect("reference solve");
         assert!(optimal.is_optimal());
         assert!(
@@ -3056,7 +2647,10 @@ mod tests {
         let (m, _) = deep_model();
         let token = CancelToken::new();
         token.cancel();
-        let config = SolverConfig::exact().with_cancel(token);
+        let config = SolverConfig {
+            cancel: Some(token),
+            ..SolverConfig::exact()
+        };
         let sol = m.solve(&config).expect("solve");
         assert_eq!(sol.status(), Status::Interrupted);
         assert_eq!(sol.stats().nodes, 0);
@@ -3065,11 +2659,16 @@ mod tests {
     #[test]
     fn expired_deadline_returns_without_descending_past_the_root() {
         let (m, warm) = deep_model();
-        let config = SolverConfig::exact()
-            .with_presolve(false)
-            .with_cuts(false)
-            .with_budget(Budget::unlimited().with_deadline(Instant::now()))
-            .with_initial_solution(warm.clone());
+        let bare = SolverConfig {
+            presolve: false,
+            cuts: false,
+            budget: Budget::unlimited().with_deadline(Instant::now()),
+            ..SolverConfig::exact()
+        };
+        let config = SolverConfig {
+            initial_solution: Some(warm.clone()),
+            ..bare.clone()
+        };
         let sol = m.solve(&config).expect("solve");
         // The warm incumbent is kept, but the tree is never entered: no
         // nodes, no LPs, no cut rounds.
@@ -3081,10 +2680,6 @@ mod tests {
         assert_eq!(sol.values(), &warm[..]);
 
         // Without a warm start nothing is known at all.
-        let bare = SolverConfig::exact()
-            .with_presolve(false)
-            .with_cuts(false)
-            .with_budget(Budget::unlimited().with_deadline(Instant::now()));
         let sol = m.solve(&bare).expect("solve");
         assert_eq!(sol.stats().nodes, 0);
         assert_eq!(sol.status(), Status::Unknown);

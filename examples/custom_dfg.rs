@@ -20,6 +20,7 @@ use std::time::Duration;
 use advbist::core::{reference, synthesis, SynthesisConfig};
 use advbist::dfg::lifetime::LifetimeTable;
 use advbist::dfg::{Binding, DfgBuilder, ModuleClass, OpKind, Schedule, SynthesisInput};
+use advbist::ilp::Budget;
 
 fn build_complex_mac() -> Result<SynthesisInput, Box<dyn Error>> {
     let mut b = DfgBuilder::new("complex_mac");
@@ -61,7 +62,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         lifetimes.min_registers()
     );
 
-    let config = SynthesisConfig::time_boxed(Duration::from_secs(5));
+    let config = SynthesisConfig::budgeted(Budget::time(Duration::from_secs(5)));
     let reference = reference::synthesize_reference(&input, &config)?;
     println!("reference area: {} transistors", reference.area.total());
 

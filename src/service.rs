@@ -31,7 +31,9 @@
 //! * **solve snapshots** — the resumable frontier of an interrupted solve
 //!   (see [`bist_ilp::SolveSnapshot`]); a hit *continues* the snapshotted
 //!   branch-and-bound tree instead of starting over, so no node is ever
-//!   explored twice.
+//!   explored twice. A snapshot is only served to a node limit at least as
+//!   large as the nodes it already explored: a smaller budget could not
+//!   have reached it, so that request misses and solves fresh.
 //!
 //! The cache changes performance, never results: entries are only consulted
 //! for **deterministic** budgets ([`Budget::is_deterministic`] — no
@@ -345,7 +347,9 @@ impl SolveCache {
     }
 
     /// Looks up the given instance: a finished row under this exact node
-    /// limit first, then a resumable snapshot. A hit refreshes the entry's
+    /// limit first, then a resumable snapshot that explored no more nodes
+    /// than `node_limit` allows (resuming a deeper one would answer with
+    /// more work than the request paid for). A hit refreshes the entry's
     /// LRU position; hit/miss counters update either way.
     fn probe(
         &self,
@@ -364,7 +368,17 @@ impl SolveCache {
                 },
                 kind,
             };
-            if let Some(idx) = inner.entries.iter().position(|e| e.key == key) {
+            let servable = |e: &CacheEntry| match &e.payload {
+                CachePayload::Snapshot(snapshot) => {
+                    node_limit.is_none_or(|limit| limit >= snapshot.nodes())
+                }
+                CachePayload::Row(_) => true,
+            };
+            if let Some(idx) = inner
+                .entries
+                .iter()
+                .position(|e| e.key == key && servable(e))
+            {
                 let entry = inner.entries.remove(idx);
                 let payload = entry.payload.clone();
                 inner.entries.push(entry);
@@ -840,7 +854,10 @@ mod tests {
         let mut second = JobService::new().with_cache(cache.clone());
         second.submit(
             SynthesisJob::new("16bit", benchmarks::figure1()).with_config(
-                bist_core::SynthesisConfig::exact().with_cost(CostModel::for_width(16)),
+                bist_core::SynthesisConfig {
+                    cost: CostModel::for_width(16),
+                    ..bist_core::SynthesisConfig::exact()
+                },
             ),
         );
         let reports = second.run();
@@ -883,6 +900,47 @@ mod tests {
         assert_eq!(row.nodes, cold.stats.nodes);
         assert_eq!(row.objective.to_bits(), cold.objective.to_bits());
         assert_eq!(row.area, cold.area.total());
+    }
+
+    #[test]
+    fn small_budget_repeat_after_a_deeper_resend_replays_the_first_answer() {
+        // A capped job, its re-send at twice the budget (which resumes and
+        // leaves a deeper snapshot behind), then a repeat at the original
+        // budget: the repeat must not resume the deeper snapshot, so it
+        // answers exactly like the first send.
+        const SMALL: u64 = 40;
+        let cache = Arc::new(SolveCache::new(64));
+        let send = |nodes: u64| {
+            let mut service = JobService::new().with_cache(cache.clone());
+            service.submit(
+                exact_job("tseng", benchmarks::tseng())
+                    .with_sessions(1..=1)
+                    .with_budget(Budget::nodes(nodes).with_snapshot(true)),
+            );
+            service.run().remove(0)
+        };
+        let first = send(SMALL);
+        assert!(
+            first.snapshot_captured,
+            "the small budget must cap the solve"
+        );
+        let resend = send(2 * SMALL);
+        assert_eq!(
+            resend.cache_hits, 1,
+            "the re-send resumes the first snapshot"
+        );
+        assert!(resend.snapshot_captured, "the doubled budget must cap too");
+        assert_eq!(resend.rows[0].nodes, 2 * SMALL);
+
+        let repeat = send(SMALL);
+        assert_eq!(repeat.cache_hits, 0);
+        assert_eq!(repeat.cache_misses, 1);
+        let (a, b) = (&first.rows[0], &repeat.rows[0]);
+        assert_eq!(a.k, b.k);
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        assert_eq!(a.area, b.area);
+        assert_eq!(a.optimal, b.optimal);
+        assert_eq!(a.nodes, b.nodes);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! exactness diffs against these golden answers immediately.
 //!
 //! The golden areas were computed with the exact solver configuration and
-//! cross-checked against the PR-2 search (cold LPs, most-constrained
-//! branching, no reduced-cost fixing). The per-instance **golden pivot
+//! cross-checked at generation time against a best-first search of the
+//! same instance. The per-instance **golden pivot
 //! counts** additionally pin the revised simplex kernel's work (deterministic
 //! on any IEEE-754 platform), so a kernel change that keeps the optima but
 //! silently inflates the search shows up as a diff. Regenerate both with

@@ -1,41 +1,21 @@
 //! The seeded regression corpus (see `common::corpus`): every pinned random
-//! circuit must reach its golden optimal area, under the new default search
-//! *and* under the PR-2 search it replaced. This is the coarse-grained
-//! differential harness for search-layer changes — bounding, branching,
-//! warm-start or fixing bugs that lose exactness show up here as a diff
-//! against a known answer rather than as a silent quality regression.
+//! circuit must reach its golden optimal area and golden pivot count under
+//! the default search. This is the coarse-grained differential harness for
+//! search-layer changes — bounding, branching, warm-start or fixing bugs
+//! that lose exactness show up here as a diff against a known answer rather
+//! than as a silent quality regression.
 
 mod common;
 
 use advbist::core::{synthesis, SynthesisConfig};
-use advbist::ilp::{BranchRule, SolverConfig};
 use common::corpus::CORPUS;
-
-/// The new default search configuration (warm dual simplex + pseudo-cost
-/// branching + reduced-cost fixing), exact solving.
-fn default_exact() -> SynthesisConfig {
-    SynthesisConfig::exact()
-}
-
-/// The PR-2 search: cold two-phase primal LPs, most-constrained branching,
-/// no reduced-cost fixing.
-fn legacy_exact() -> SynthesisConfig {
-    let mut config = SynthesisConfig::exact();
-    config.solver = SolverConfig {
-        lp_warm_start: false,
-        rc_fixing: false,
-        branching: BranchRule::MostConstrained,
-        ..config.solver
-    };
-    config
-}
 
 #[test]
 fn corpus_reaches_golden_optima_with_the_default_search() {
     assert!(!CORPUS.is_empty(), "corpus must not be empty");
     for case in CORPUS {
         let input = case.input();
-        let design = synthesis::synthesize_bist(&input, case.sessions, &default_exact())
+        let design = synthesis::synthesize_bist(&input, case.sessions, &SynthesisConfig::exact())
             .unwrap_or_else(|e| panic!("{}: synthesis failed: {e}", case.name));
         assert!(design.optimal, "{}: not proven optimal", case.name);
         assert_eq!(
@@ -51,24 +31,6 @@ fn corpus_reaches_golden_optima_with_the_default_search() {
         assert_eq!(
             design.stats.lp_pivots, case.golden_pivots,
             "{}: simplex pivot count diverged from the golden kernel work",
-            case.name
-        );
-    }
-}
-
-#[test]
-fn corpus_golden_optima_match_the_legacy_search() {
-    // The old and new searches must agree on every pinned optimum — the
-    // corpus-level differential check of the search overhaul.
-    for case in CORPUS.iter().take(4) {
-        let input = case.input();
-        let design = synthesis::synthesize_bist(&input, case.sessions, &legacy_exact())
-            .unwrap_or_else(|e| panic!("{}: synthesis failed: {e}", case.name));
-        assert!(design.optimal, "{}: not proven optimal", case.name);
-        assert_eq!(
-            design.area.total(),
-            case.golden_area,
-            "{}: legacy search disagrees with the golden optimum",
             case.name
         );
     }
@@ -101,12 +63,16 @@ fn regenerate_corpus_goldens() {
         let mut sessions: Vec<usize> = vec![1, max_k];
         sessions.dedup();
         for k in sessions {
-            let design = synthesis::synthesize_bist(&input, k, &default_exact()).unwrap();
+            let design = synthesis::synthesize_bist(&input, k, &SynthesisConfig::exact()).unwrap();
             assert!(design.optimal, "seed {seed} k={k} did not solve exactly");
-            let legacy = synthesis::synthesize_bist(&input, k, &legacy_exact()).unwrap();
+            // Second opinion at generation time: a best-first search must
+            // land on the same optimum.
+            let mut best_first = SynthesisConfig::exact();
+            best_first.solver.search = advbist::ilp::SearchOrder::BestFirst;
+            let check = synthesis::synthesize_bist(&input, k, &best_first).unwrap();
             assert_eq!(
                 design.area.total(),
-                legacy.area.total(),
+                check.area.total(),
                 "seed {seed} k={k}: searches disagree at generation time"
             );
             println!(

@@ -36,9 +36,11 @@ fn assert_cuts_satisfied(cuts: &[CutRow], values: &[f64], context: &str) {
 /// off (cut indices must mean original model columns), cut separation on,
 /// and the emitted rows recorded into the stats.
 fn recording_config() -> SolverConfig {
-    SolverConfig::exact()
-        .with_presolve(false)
-        .with_record_cuts(true)
+    SolverConfig {
+        presolve: false,
+        record_cuts: true,
+        ..SolverConfig::exact()
+    }
 }
 
 /// On PRNG 0-1 models small enough to enumerate, **no feasible integer
@@ -136,7 +138,10 @@ fn corpus_optima_satisfy_every_emitted_cut() {
 fn cut_recording_is_off_by_default_and_side_effect_free() {
     let model: Model = random_binary_model(0xc0ffee, 8, 6);
     let plain = model
-        .solve(&SolverConfig::exact().with_presolve(false))
+        .solve(&SolverConfig {
+            presolve: false,
+            ..SolverConfig::exact()
+        })
         .unwrap();
     assert!(plain.stats().emitted_cuts.is_empty());
     let recorded = model.solve(&recording_config()).unwrap();

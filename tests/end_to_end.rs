@@ -10,9 +10,10 @@ use advbist::datapath::validate::{validate_design, validate_structure};
 use advbist::datapath::TestRegisterKind;
 use advbist::dfg::benchmarks;
 use advbist::dfg::lifetime::LifetimeTable;
+use advbist::ilp::Budget;
 
 fn quick(limit_ms: u64) -> SynthesisConfig {
-    SynthesisConfig::time_boxed(Duration::from_millis(limit_ms))
+    SynthesisConfig::budgeted(Budget::time(Duration::from_millis(limit_ms)))
 }
 
 #[test]

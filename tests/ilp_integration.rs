@@ -6,7 +6,7 @@
 mod common;
 
 use advbist::dfg::benchmarks;
-use advbist::ilp::{lpfile, BoundMode, BranchRule, SearchOrder, SolverConfig};
+use advbist::ilp::{lpfile, BoundMode, SearchOrder, SolverConfig};
 use common::{brute_force, random_binary_model};
 
 /// Branch and bound agrees with exhaustive enumeration on random small 0-1
@@ -18,11 +18,19 @@ fn solver_matches_brute_force() {
         let expected = brute_force(&model);
         for config in [
             SolverConfig::exact(),
-            SolverConfig::exact().with_bound_mode(BoundMode::Propagation),
-            SolverConfig::exact()
-                .with_bound_mode(BoundMode::Hybrid { lp_depth: 2 })
-                .with_search(SearchOrder::BestFirst),
-            SolverConfig::exact().with_branching(BranchRule::MostFractional),
+            SolverConfig {
+                bound_mode: BoundMode::Propagation,
+                ..SolverConfig::exact()
+            },
+            SolverConfig {
+                bound_mode: BoundMode::Hybrid { lp_depth: 2 },
+                search: SearchOrder::BestFirst,
+                ..SolverConfig::exact()
+            },
+            SolverConfig {
+                search: SearchOrder::BestFirst,
+                ..SolverConfig::exact()
+            },
         ] {
             let solution = model.solve(&config).unwrap();
             match expected {

@@ -19,7 +19,7 @@ use advbist::ilp::propagate::Domains;
 use advbist::ilp::reduce::{reduce, solve_reduced, ReduceOptions, VarDisposition};
 use advbist::ilp::simplex::{resolve_with_basis, solve_lp, solve_lp_basis, LpStatus};
 use advbist::ilp::sparse::SparseModel;
-use advbist::ilp::{BoundMode, BranchRule, CmpOp, Model, SolverConfig};
+use advbist::ilp::{BoundMode, Budget, CmpOp, Model, SearchOrder, SolverConfig};
 use common::{brute_force, random_binary_model, Rng};
 
 /// Draws a random DFG configuration from a seeded PRNG, mirroring the
@@ -136,7 +136,7 @@ fn advbist_designs_are_always_valid() {
             multipliers: 1,
             alus: 1,
         });
-        let config = SynthesisConfig::time_boxed(Duration::from_millis(300));
+        let config = SynthesisConfig::budgeted(Budget::time(Duration::from_millis(300)));
         let lifetimes = LifetimeTable::new(&input).unwrap();
         let reference = reference::synthesize_reference(&input, &config).unwrap();
         let k = input.binding().num_modules();
@@ -176,7 +176,10 @@ fn reduce_and_lift_preserve_the_brute_force_optimum() {
             }
         }
         for mode in modes {
-            let config = SolverConfig::exact().with_bound_mode(mode);
+            let config = SolverConfig {
+                bound_mode: mode,
+                ..SolverConfig::exact()
+            };
             let solution = solve_reduced(&model, &reduced, &config).unwrap();
             match expected {
                 None => assert!(
@@ -462,18 +465,13 @@ fn devex_and_dantzig_agree_on_reduced_models() {
     );
 }
 
-/// Every branching rule is an exact oracle: on random small 0-1 models all
-/// `BranchRule` variants reach the brute-force optimum under **all three**
-/// dual-bound modes (pseudo-cost branching falls back gracefully where no
-/// LP values exist).
+/// Both search orders are exact oracles: on random small 0-1 models
+/// depth-first and best-first search reach the brute-force optimum under
+/// **all three** dual-bound modes (pseudo-cost branching falls back
+/// gracefully where no LP values exist).
 #[test]
-fn branch_rules_agree_with_brute_force_across_bound_modes() {
-    let rules = [
-        BranchRule::InputOrder,
-        BranchRule::MostConstrained,
-        BranchRule::MostFractional,
-        BranchRule::PseudoCost,
-    ];
+fn search_orders_agree_with_brute_force_across_bound_modes() {
+    let orders = [SearchOrder::DepthFirst, SearchOrder::BestFirst];
     let modes = [
         BoundMode::Propagation,
         BoundMode::LpRelaxation,
@@ -482,25 +480,27 @@ fn branch_rules_agree_with_brute_force_across_bound_modes() {
     for seed in 0..25u64 {
         let model = random_binary_model(seed.wrapping_mul(4243) + 9, 8, 6);
         let expected = brute_force(&model);
-        for rule in rules {
+        for search in orders {
             for mode in modes {
-                let config = SolverConfig::exact()
-                    .with_bound_mode(mode)
-                    .with_branching(rule);
+                let config = SolverConfig {
+                    bound_mode: mode,
+                    search,
+                    ..SolverConfig::exact()
+                };
                 let solution = model.solve(&config).unwrap();
                 match expected {
                     None => assert!(
                         !solution.is_feasible(),
-                        "seed {seed}, rule {rule:?}, mode {mode:?}: expected infeasible"
+                        "seed {seed}, {search:?}, mode {mode:?}: expected infeasible"
                     ),
                     Some(best) => {
                         assert!(
                             solution.is_optimal(),
-                            "seed {seed}, rule {rule:?}, mode {mode:?}: not optimal"
+                            "seed {seed}, {search:?}, mode {mode:?}: not optimal"
                         );
                         assert!(
                             (solution.objective() - best).abs() < 1e-6,
-                            "seed {seed}, rule {rule:?}, mode {mode:?}: solver {} vs brute force {best}",
+                            "seed {seed}, {search:?}, mode {mode:?}: solver {} vs brute force {best}",
                             solution.objective(),
                         );
                     }
@@ -510,32 +510,26 @@ fn branch_rules_agree_with_brute_force_across_bound_modes() {
     }
 }
 
-/// All branching rules reach the same proven optimum on the exactly
+/// Both search orders reach the same proven optimum on the exactly
 /// solvable circuit (figure1), for every session count — the circuit-level
 /// counterpart of the brute-force oracle above.
 #[test]
-fn branch_rules_agree_on_the_exactly_solvable_circuit() {
+fn search_orders_agree_on_the_exactly_solvable_circuit() {
     use advbist::core::synthesis::synthesize_bist;
     use advbist::dfg::benchmarks;
     let input = benchmarks::figure1();
-    let rules = [
-        BranchRule::InputOrder,
-        BranchRule::MostConstrained,
-        BranchRule::MostFractional,
-        BranchRule::PseudoCost,
-    ];
     for k in 1..=input.binding().num_modules() {
         let mut reference: Option<f64> = None;
-        for rule in rules {
+        for search in [SearchOrder::DepthFirst, SearchOrder::BestFirst] {
             let mut config = SynthesisConfig::exact();
-            config.solver.branching = rule;
+            config.solver.search = search;
             let design = synthesize_bist(&input, k, &config).unwrap();
-            assert!(design.optimal, "k={k}, rule {rule:?}");
+            assert!(design.optimal, "k={k}, {search:?}");
             match reference {
                 None => reference = Some(design.objective),
                 Some(expected) => assert!(
                     (design.objective - expected).abs() < 1e-6,
-                    "k={k}, rule {rule:?}: objective {} vs {}",
+                    "k={k}, {search:?}: objective {} vs {}",
                     design.objective,
                     expected
                 ),
@@ -559,7 +553,10 @@ fn bound_modes_agree_with_brute_force() {
         let model = random_binary_model(seed.wrapping_mul(7919) + 17, 8, 6);
         let expected = brute_force(&model);
         for mode in modes {
-            let config = SolverConfig::exact().with_bound_mode(mode);
+            let config = SolverConfig {
+                bound_mode: mode,
+                ..SolverConfig::exact()
+            };
             let solution = model.solve(&config).unwrap();
             match expected {
                 None => assert!(
