@@ -9,11 +9,37 @@
 //!   every previously-capped chained row ends strictly below its committed
 //!   capped objective (see [`bist_bench::sweep::exactness_violations`]).
 //!
+//! With `--check-against <path>` it also applies the **deterministic-work
+//! gate**: every `rebuild` and `chained` row must match the sweep artifact
+//! at `path` (typically the committed `BENCH_sweep.json`) in each of
+//! [`bist_bench::sweep::DETERMINISTIC_FIELDS`] — objective, area, proof,
+//! nodes, pivots, cuts and incumbent source. A change that only makes the
+//! solver faster passes; one that moves a single pivot fails.
+//!
 //! CI runs this as the perf gate for the pricing/cuts/heuristics layer.
+//!
+//! ```text
+//! cargo run --release -p bist-bench --bin repro_sweep [-- --check-against <path>]
+//! ```
 
 use bist_bench::workload::DEFAULT_SWEEP_NODES;
 
 fn main() {
+    let mut args = std::env::args().skip(1);
+    let check_against = match (args.next().as_deref(), args.next(), args.next()) {
+        (None, _, _) => None,
+        (Some("--check-against"), Some(path), None) => match std::fs::read_to_string(&path) {
+            Ok(text) => Some((path, text)),
+            Err(e) => {
+                eprintln!("cannot read {path}: {e}");
+                std::process::exit(2);
+            }
+        },
+        _ => {
+            eprintln!("usage: repro_sweep [--check-against <BENCH_sweep.json>]");
+            std::process::exit(2);
+        }
+    };
     let node_limit = bist_bench::workload::node_limit_from_env();
     eprintln!("# sweep node budget: {node_limit} nodes/solve (set BIST_NODE_LIMIT to change)");
 
@@ -54,6 +80,23 @@ fn main() {
             eprintln!("exactness regression: {violation}");
         }
         failed = true;
+    }
+    if let Some((path, committed)) = &check_against {
+        match bist_bench::sweep::deterministic_diffs(&sweeps, committed) {
+            Ok(diffs) if diffs.is_empty() => {
+                println!("deterministic-work gate: every rebuild/chained row matches {path}.")
+            }
+            Ok(diffs) => {
+                for diff in &diffs {
+                    eprintln!("deterministic-work regression: {diff}");
+                }
+                failed = true;
+            }
+            Err(e) => {
+                eprintln!("deterministic-work gate: {e}");
+                failed = true;
+            }
+        }
     }
     if failed {
         std::process::exit(1);

@@ -395,6 +395,96 @@ pub fn exactness_violations(sweeps: &[CircuitSweep], node_limit: u64) -> Vec<Str
     violations
 }
 
+/// The per-row fields of `BENCH_sweep.json` that a pure speed-up of the
+/// solver must leave untouched: the answer, its proof, and the work that
+/// produced it (nodes, pivots by pricing rule, cuts, incumbent source).
+pub const DETERMINISTIC_FIELDS: &[&str] = &[
+    "objective",
+    "area",
+    "optimal",
+    "nodes",
+    "nodes_to_best",
+    "lp_pivots",
+    "devex_pivots",
+    "dantzig_pivots",
+    "bland_pivots",
+    "cuts_emitted",
+    "cuts_active",
+    "incumbent_source",
+];
+
+/// The deterministic-work gate: compares the [`DETERMINISTIC_FIELDS`] of
+/// every `rebuild` and `chained` row of `sweeps` with the same rows of a
+/// committed `BENCH_sweep.json` (its text in `committed`). Rows are matched
+/// by circuit name and position. Both sides go through the same JSON
+/// writer and parser, so a formatted objective compares exactly. Empty
+/// means the sweep did the same work as the committed one.
+///
+/// # Errors
+///
+/// Returns a description when `committed` is not a sweep artifact.
+pub fn deterministic_diffs(
+    sweeps: &[CircuitSweep],
+    committed: &str,
+) -> Result<Vec<String>, String> {
+    use bist_ilp::json::Value;
+    let committed =
+        Value::parse(committed).map_err(|e| format!("committed sweep is not JSON: {e}"))?;
+    let committed = committed
+        .as_array()
+        .ok_or("committed sweep is not an array of circuits")?;
+    let mut diffs = Vec::new();
+    if committed.len() != sweeps.len() {
+        diffs.push(format!(
+            "{} circuits swept, {} committed",
+            sweeps.len(),
+            committed.len()
+        ));
+    }
+    for sweep in sweeps {
+        let Some(old) = committed
+            .iter()
+            .find(|c| c.get("circuit").and_then(Value::as_str) == Some(&sweep.circuit))
+        else {
+            diffs.push(format!("{}: not in the committed sweep", sweep.circuit));
+            continue;
+        };
+        let new = Value::parse(&sweep.to_json())
+            .map_err(|e| format!("{}: sweep JSON does not parse: {e}", sweep.circuit))?;
+        for mode in ["rebuild", "chained"] {
+            let old_rows = old.get(mode).and_then(Value::as_array);
+            let new_rows = new.get(mode).and_then(Value::as_array);
+            let (Some(old_rows), Some(new_rows)) = (old_rows, new_rows) else {
+                diffs.push(format!("{} {mode}: rows missing", sweep.circuit));
+                continue;
+            };
+            if old_rows.len() != new_rows.len() {
+                diffs.push(format!(
+                    "{} {mode}: {} rows, {} committed",
+                    sweep.circuit,
+                    new_rows.len(),
+                    old_rows.len()
+                ));
+            }
+            for (old_row, new_row) in old_rows.iter().zip(new_rows) {
+                let k = new_row.get("sessions").and_then(Value::as_u64).unwrap_or(0);
+                for &field in DETERMINISTIC_FIELDS {
+                    let (was, now) = (old_row.get(field), new_row.get(field));
+                    if was != now {
+                        diffs.push(format!(
+                            "{} {mode} k={k} {field}: {} now, {} committed",
+                            sweep.circuit,
+                            now.map_or("missing".into(), Value::write),
+                            was.map_or("missing".into(), Value::write)
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(diffs)
+}
+
 /// Re-runs the sweep through the `advbist::service` job queue — one
 /// node-budgeted [`SynthesisJob`](advbist::service::SynthesisJob) per
 /// circuit — and verifies the reported rows against the engine sweep:
@@ -554,6 +644,36 @@ mod tests {
         let mut broken = sweeps.clone();
         broken[0].parallel[0].objective += 1.0;
         assert!(service_cross_check(&circuits, &broken, 80).is_err());
+    }
+
+    #[test]
+    fn deterministic_gate_flags_changed_work_and_ignores_timing() {
+        let circuits = vec![("figure1", benchmarks::figure1())];
+        let sweeps = run_all(&circuits, &workload::sweep_config(40)).unwrap();
+        let committed = format!("[\n{}\n]\n", sweeps[0].to_json());
+        assert_eq!(deterministic_diffs(&sweeps, &committed), Ok(Vec::new()));
+        // Wall-clock fields are not part of the gate.
+        let mut slower = sweeps.clone();
+        slower[0].rebuild[0].seconds += 1.0;
+        slower[0].chained_seconds += 1.0;
+        assert_eq!(deterministic_diffs(&slower, &committed), Ok(Vec::new()));
+        // One more pivot in one chained row is caught, and named.
+        let mut changed = sweeps.clone();
+        changed[0].chained[1].lp_pivots += 1;
+        let diffs = deterministic_diffs(&changed, &committed).unwrap();
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(
+            diffs[0].starts_with("figure1 chained k=2 lp_pivots"),
+            "{diffs:?}"
+        );
+        // So is a circuit the committed file lacks, and a file that is not
+        // a sweep at all.
+        let mut renamed = sweeps.clone();
+        renamed[0].circuit = "tseng".into();
+        assert!(!deterministic_diffs(&renamed, &committed)
+            .unwrap()
+            .is_empty());
+        assert!(deterministic_diffs(&sweeps, "{}").is_err());
     }
 
     #[test]

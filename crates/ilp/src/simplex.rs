@@ -23,12 +23,37 @@
 //!   touching a dense tableau row.
 //! * **Factorized basis (product form).** The basis inverse is represented
 //!   as a product of sparse *eta* matrices: each pivot appends one eta
-//!   vector, and the file is periodically collapsed by refactorization
-//!   (Gauss-Jordan over the basic columns with partial pivoting), which
-//!   bounds both memory and accumulated rounding error. A [`Basis`] is just
-//!   the column statuses, the basic set and the eta file — a few kilobytes,
-//!   not a tableau — so the branch-and-bound solver can cache one per node
-//!   cheaply.
+//!   vector, and the file is periodically collapsed by refactorization,
+//!   which bounds both memory and accumulated rounding error. Etas live in
+//!   flat split storage (row indices and values in parallel arrays), and a
+//!   warm start shares its parent's etas (`Arc`) instead of copying them. A
+//!   [`Basis`] is just the column statuses, the basic set and the eta file —
+//!   a few kilobytes, not a tableau — so the branch-and-bound solver can
+//!   cache one per node cheaply. Three kernels exploit the sparsity of the
+//!   BIST bases (Hall & McKinnon, *Hyper-sparsity in the revised simplex
+//!   method*, Comput. Optim. Appl. 2005):
+//!   - **Sparse refactorization.** Gauss-Jordan with partial pivoting over
+//!     the basic columns, sparsest first, touches only the nonzero pattern
+//!     of each column: it applies just the etas whose pivot row the column
+//!     reaches (each row is pivoted once, so a min-heap over eta indices
+//!     yields them in file order) and picks the pivot from the sorted
+//!     pattern.
+//!   - **Two-vector BTRAN.** One pass over the eta file carries two
+//!     independent dot chains: the dual simplex fuses its pivot row
+//!     `ρ = B⁻ᵀeᵣ` with the duals `y = B⁻ᵀc_B`, and the primal simplex
+//!     fuses the devex pivot row of one iteration with the next
+//!     iteration's duals.
+//!   - **Row-wise pivot row.** The primal devex update computes
+//!     `αᵣⱼ = ρᵀaⱼ` over the few nonzero rows of `ρ` through the CSR side
+//!     of the [`SparseModel`] instead of one dot product per column.
+//!
+//!   The kernel's **arithmetic order is part of its contract**: every sum
+//!   above adds the same products in the same order as the plain dense
+//!   loop it replaced (the unit tests pin this bit for bit against a dense
+//!   oracle), so the pivot trail, and with it every node count and golden
+//!   design, is independent of these optimizations. Reordering a sum, or
+//!   changing when the file is refactorized, is a behaviour change that
+//!   must regenerate the goldens.
 //!
 //! Two solve paths share the kernel:
 //!
@@ -46,6 +71,10 @@
 //!
 //! Both warm-capable paths report [`ReducedCosts`] at optimality, which the
 //! solver uses for reduced-cost bound fixing against the incumbent.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use crate::model::CmpOp;
 use crate::propagate::Domains;
@@ -83,6 +112,11 @@ pub enum LpStatus {
     Unbounded,
     /// The pivot limit was reached before convergence.
     IterationLimit,
+    /// The kernel gave up on a numerically troubled basis: a
+    /// refactorization found it singular, the FTRANed pivot kept
+    /// disagreeing with the priced one, or phase 1 found an unblocked ray.
+    /// Like [`LpStatus::IterationLimit`] it proves nothing about the LP.
+    Stalled,
 }
 
 /// Reduced-cost information of an optimal basis, mapped back to the original
@@ -231,7 +265,9 @@ const GOMORY_MAX_DYNAMISM: f64 = 1e6;
 pub struct Basis {
     status: Vec<ColStatus>,
     basis: Vec<usize>,
-    etas: Vec<Eta>,
+    /// The eta file as immutable blocks, shared with the kernels warm-started
+    /// from this basis and with the bases they produce.
+    etas: Vec<Arc<EtaBlock>>,
     age: u32,
     rows: usize,
     vars: usize,
@@ -248,7 +284,12 @@ impl Basis {
 
     /// Number of stored factorization nonzeros (memory footprint proxy).
     pub fn cells(&self) -> usize {
-        self.basis.len() + self.etas.iter().map(|e| e.terms.len() + 1).sum::<usize>()
+        self.basis.len()
+            + self
+                .etas
+                .iter()
+                .map(|b| b.idx.len() + b.len())
+                .sum::<usize>()
     }
 
     /// Serialises the basis into the snapshot JSON tree. Pivot values are
@@ -283,14 +324,15 @@ impl Basis {
                 Value::Array(
                     self.etas
                         .iter()
-                        .map(|eta| {
+                        .flat_map(|block| (0..block.len()).map(|k| block.eta(k)))
+                        .map(|(row, pivot, idx, val)| {
                             Value::Array(vec![
-                                Value::Int(u64::from(eta.row)),
-                                bits(eta.pivot),
+                                Value::Int(u64::from(row)),
+                                bits(pivot),
                                 Value::Array(
-                                    eta.terms
-                                        .iter()
-                                        .map(|&(i, a)| {
+                                    idx.iter()
+                                        .zip(val)
+                                        .map(|(&i, &a)| {
                                             Value::Array(vec![Value::Int(u64::from(i)), bits(a)])
                                         })
                                         .collect(),
@@ -331,7 +373,7 @@ impl Basis {
                     .ok_or_else(|| field("basis"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut etas = Vec::new();
+        let mut etas = EtaBlock::default();
         for eta in get_array(v, "etas")? {
             let parts = eta.as_array().ok_or_else(|| field("etas"))?;
             let [row, pivot, terms] = parts else {
@@ -350,19 +392,32 @@ impl Basis {
                     _ => Err(field("etas")),
                 })
                 .collect::<Result<Vec<_>, SnapshotError>>()?;
-            etas.push(Eta {
-                row: u32::try_from(row.as_u64().ok_or_else(|| field("etas"))?)
+            etas.push(
+                u32::try_from(row.as_u64().ok_or_else(|| field("etas"))?)
                     .map_err(|_| field("etas"))?,
-                pivot: f64::from_bits(pivot.as_u64().ok_or_else(|| field("etas"))?),
+                f64::from_bits(pivot.as_u64().ok_or_else(|| field("etas"))?),
                 terms,
-            });
+            );
+        }
+        let rows = get_usize(v, "rows")?;
+        if etas
+            .rows
+            .iter()
+            .chain(&etas.idx)
+            .any(|&i| (i as usize) >= rows)
+        {
+            return Err(SnapshotError::new("basis shape mismatch"));
         }
         let rebuilt = Self {
             status,
             basis,
-            etas,
+            etas: EtaFile {
+                own: etas,
+                ..EtaFile::default()
+            }
+            .into_shared(),
             age: u32::try_from(get_u64(v, "age")?).map_err(|_| field("age"))?,
-            rows: get_usize(v, "rows")?,
+            rows,
             vars: get_usize(v, "vars")?,
             fingerprint: get_u64(v, "fingerprint")?,
         };
@@ -372,10 +427,6 @@ impl Basis {
                 .basis
                 .iter()
                 .any(|&j| j >= rebuilt.vars + rebuilt.rows)
-            || rebuilt
-                .etas
-                .iter()
-                .any(|e| (e.row as usize) >= rebuilt.rows)
         {
             return Err(SnapshotError::new("basis shape mismatch"));
         }
@@ -394,64 +445,329 @@ enum ColStatus {
     Upper,
 }
 
-/// One product-form eta: after the pivot `B_new⁻¹ = E⁻¹ · B_old⁻¹`, where
-/// `E` is the identity except for column `row`, which holds the FTRANed
-/// entering column `w`.
-#[derive(Debug, Clone)]
-struct Eta {
-    row: u32,
-    /// `w[row]` — the pivot element.
-    pivot: f64,
-    /// Off-pivot nonzeros of `w` as `(row, value)`.
-    terms: Vec<(u32, f64)>,
+/// A run of product-form etas in flat split storage. Eta `k` is the
+/// identity except for column `rows[k]`, which holds an FTRANed entering
+/// column `w` (after its pivot `B_new⁻¹ = E⁻¹ · B_old⁻¹`): `pivots[k]` is
+/// `w[rows[k]]`, and the off-pivot nonzeros of `w` are the parallel slices
+/// `idx[span(k)]` / `val[span(k)]` in ascending row order, where `span(k)`
+/// runs from `ends[k − 1]` (0 for the first eta) to `ends[k]`.
+#[derive(Debug, Default)]
+struct EtaBlock {
+    rows: Vec<u32>,
+    pivots: Vec<f64>,
+    ends: Vec<usize>,
+    idx: Vec<u32>,
+    val: Vec<f64>,
 }
 
-impl Eta {
-    /// Applies `E⁻¹` to `v` in place (forward transformation step).
+impl EtaBlock {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.pivots.clear();
+        self.ends.clear();
+        self.idx.clear();
+        self.val.clear();
+    }
+
+    /// Term range of eta `k`.
     #[inline]
+    fn span(&self, k: usize) -> std::ops::Range<usize> {
+        (if k == 0 { 0 } else { self.ends[k - 1] })..self.ends[k]
+    }
+
+    /// Eta `k` as `(row, pivot, term rows, term values)`.
+    fn eta(&self, k: usize) -> (u32, f64, &[u32], &[f64]) {
+        let span = self.span(k);
+        (
+            self.rows[k],
+            self.pivots[k],
+            &self.idx[span.clone()],
+            &self.val[span],
+        )
+    }
+
+    /// Appends an eta verbatim.
+    fn push(&mut self, row: u32, pivot: f64, terms: impl IntoIterator<Item = (u32, f64)>) {
+        for (i, a) in terms {
+            self.idx.push(i);
+            self.val.push(a);
+        }
+        self.rows.push(row);
+        self.pivots.push(pivot);
+        self.ends.push(self.idx.len());
+    }
+
+    /// Appends the eta of FTRANed column `w` pivoting on `row`, reading the
+    /// off-pivot entries at `pattern` (ascending; it must cover every
+    /// nonzero of `w`) and dropping negligible ones. An exact identity eta
+    /// (unit pivot, no off-pivot entries) is skipped — applying it would be
+    /// a no-op, and skipping it keeps the factorization of a mostly-slack
+    /// basis near-empty. Returns whether an eta was appended.
+    fn push_column(
+        &mut self,
+        row: usize,
+        w: &[f64],
+        pattern: impl IntoIterator<Item = usize>,
+    ) -> bool {
+        let start = self.idx.len();
+        for i in pattern {
+            let a = w[i];
+            if i != row && a.abs() > DROP_TOL {
+                self.idx.push(i as u32);
+                self.val.push(a);
+            }
+        }
+        if w[row] == 1.0 && self.idx.len() == start {
+            return false;
+        }
+        self.rows.push(row as u32);
+        self.pivots.push(w[row]);
+        self.ends.push(self.idx.len());
+        true
+    }
+
+    /// Applies every `E⁻¹` in file order to `v` (forward transformation).
     fn ftran(&self, v: &mut [f64]) {
-        let r = self.row as usize;
-        if v[r] == 0.0 {
-            return;
-        }
-        let p = v[r] / self.pivot;
-        v[r] = p;
-        for &(i, a) in &self.terms {
-            v[i as usize] -= a * p;
+        let mut start = 0;
+        for (k, &end) in self.ends.iter().enumerate() {
+            let r = self.rows[k] as usize;
+            if v[r] != 0.0 {
+                let p = v[r] / self.pivots[k];
+                v[r] = p;
+                for (&i, &a) in self.idx[start..end].iter().zip(&self.val[start..end]) {
+                    v[i as usize] -= a * p;
+                }
+            }
+            start = end;
         }
     }
 
-    /// Applies `E⁻ᵀ` to `v` in place (backward transformation step).
-    #[inline]
-    fn btran(&self, v: &mut [f64]) {
-        let r = self.row as usize;
-        let mut s = v[r];
-        for &(i, a) in &self.terms {
-            s -= a * v[i as usize];
+    /// Applies `E⁻ᵀ` of the etas in `etas` to `v`, last first (backward
+    /// transformation).
+    fn btran(&self, v: &mut [f64], etas: std::ops::Range<usize>) {
+        for k in etas.rev() {
+            let r = self.rows[k] as usize;
+            let span = self.span(k);
+            let mut s = v[r];
+            for (&i, &a) in self.idx[span.clone()].iter().zip(&self.val[span]) {
+                s -= a * v[i as usize];
+            }
+            v[r] = s / self.pivots[k];
         }
-        v[r] = s / self.pivot;
+    }
+
+    /// [`EtaBlock::btran`] of two vectors in one pass: the two dot chains
+    /// are independent, so each performs exactly the operations of its own
+    /// single-vector pass, while the pass pays the serial latency of one.
+    fn btran2(&self, u: &mut [f64], v: &mut [f64], etas: std::ops::Range<usize>) {
+        for k in etas.rev() {
+            let r = self.rows[k] as usize;
+            let span = self.span(k);
+            let (mut su, mut sv) = (u[r], v[r]);
+            for (&i, &a) in self.idx[span.clone()].iter().zip(&self.val[span]) {
+                let i = i as usize;
+                su -= a * u[i];
+                sv -= a * v[i];
+            }
+            let pivot = self.pivots[k];
+            u[r] = su / pivot;
+            v[r] = sv / pivot;
+        }
     }
 }
 
-/// Builds an eta from a dense FTRANed column, dropping negligible entries.
-/// Returns `None` for an exact identity eta (unit pivot, no off-pivot
-/// entries) — applying it would be a no-op, and skipping it keeps the
-/// factorization of a mostly-slack basis near-empty.
-fn make_eta(row: usize, w: &[f64]) -> Option<Eta> {
-    let mut terms = Vec::new();
-    for (i, &a) in w.iter().enumerate() {
-        if i != row && a.abs() > DROP_TOL {
-            terms.push((i as u32, a));
+/// The eta file of a kernel: the immutable blocks inherited from the
+/// warm-start [`Basis`] (shared with it and its ancestors, oldest first),
+/// followed by the etas this kernel appended. A warm start therefore costs
+/// a few reference-count bumps, not a copy of the factorization.
+#[derive(Debug, Default)]
+struct EtaFile {
+    shared: Vec<Arc<EtaBlock>>,
+    /// Total eta count of `shared`.
+    shared_len: usize,
+    own: EtaBlock,
+}
+
+impl EtaFile {
+    fn from_shared(shared: &[Arc<EtaBlock>]) -> Self {
+        Self {
+            shared: shared.to_vec(),
+            shared_len: shared.iter().map(|b| b.len()).sum(),
+            own: EtaBlock::default(),
         }
     }
-    if w[row] == 1.0 && terms.is_empty() {
-        return None;
+
+    fn len(&self) -> usize {
+        self.shared_len + self.own.len()
     }
-    Some(Eta {
-        row: row as u32,
-        pivot: w[row],
-        terms,
-    })
+
+    fn clear(&mut self) {
+        self.shared.clear();
+        self.shared_len = 0;
+        self.own.clear();
+    }
+
+    /// Every block in file order.
+    fn blocks(&self) -> impl Iterator<Item = &EtaBlock> {
+        self.shared.iter().map(|b| &**b).chain([&self.own])
+    }
+
+    /// FTRAN in place: `v ← B⁻¹·v`.
+    fn ftran(&self, v: &mut [f64]) {
+        for block in self.blocks() {
+            block.ftran(v);
+        }
+    }
+
+    /// BTRAN in place: `v ← B⁻ᵀ·v`.
+    fn btran(&self, v: &mut [f64]) {
+        self.btran_head(v, self.len());
+    }
+
+    /// BTRAN through the first `end` etas only (the basis before the
+    /// pivots that appended the rest); `end` must not cut into the shared
+    /// blocks.
+    fn btran_head(&self, v: &mut [f64], end: usize) {
+        self.own.btran(v, 0..end - self.shared_len);
+        for block in self.shared.iter().rev() {
+            block.btran(v, 0..block.len());
+        }
+    }
+
+    /// Two-vector BTRAN: `u ← B⁻ᵀ·u` and `v ← B⁻ᵀ·v` in one pass.
+    fn btran2(&self, u: &mut [f64], v: &mut [f64]) {
+        self.btran2_head(u, v, self.len());
+    }
+
+    /// [`EtaFile::btran2`] through the first `end` etas only.
+    fn btran2_head(&self, u: &mut [f64], v: &mut [f64], end: usize) {
+        self.own.btran2(u, v, 0..end - self.shared_len);
+        for block in self.shared.iter().rev() {
+            block.btran2(u, v, 0..block.len());
+        }
+    }
+
+    /// BTRAN through the etas from index `start` on (which must all be the
+    /// kernel's own), the first leg of a BTRAN split at `start`.
+    fn btran_tail(&self, v: &mut [f64], start: usize) {
+        self.own.btran(v, start - self.shared_len..self.own.len());
+    }
+
+    /// Hands the file over to a [`Basis`]: the own etas become one more
+    /// shared block.
+    fn into_shared(mut self) -> Vec<Arc<EtaBlock>> {
+        if !self.own.is_empty() {
+            self.shared.push(Arc::new(self.own));
+        }
+        self.shared
+    }
+}
+
+/// Scratch of the sparse refactorization: the nonzero pattern of the
+/// column being transformed, and the etas still to apply to it.
+struct SparseColumn {
+    in_pattern: Vec<bool>,
+    /// Rows written so far, in first-write order.
+    pattern: Vec<usize>,
+    /// The eta pivoting on each row, once emitted.
+    eta_of_row: Vec<u32>,
+    /// Etas to apply, smallest file index first.
+    pending: BinaryHeap<Reverse<u32>>,
+}
+
+impl SparseColumn {
+    const NO_ETA: u32 = u32::MAX;
+
+    fn new(m: usize) -> Self {
+        Self {
+            in_pattern: vec![false; m],
+            pattern: Vec::new(),
+            eta_of_row: vec![Self::NO_ETA; m],
+            pending: BinaryHeap::new(),
+        }
+    }
+
+    /// Records a write to row `i` while the etas from index `after` on are
+    /// still to come. A row entering the pattern queues its eta if that eta
+    /// lies ahead; a row already in it was queued (or passed) on entry.
+    #[inline]
+    fn touch(&mut self, i: usize, after: usize) {
+        if !self.in_pattern[i] {
+            self.in_pattern[i] = true;
+            self.pattern.push(i);
+            let e = self.eta_of_row[i];
+            if e != Self::NO_ETA && e as usize >= after {
+                self.pending.push(Reverse(e));
+            }
+        }
+    }
+
+    /// Zeroes `w` on the pattern and empties it for the next column.
+    fn clear(&mut self, w: &mut [f64]) {
+        for &i in &self.pattern {
+            w[i] = 0.0;
+            self.in_pattern[i] = false;
+        }
+        self.pattern.clear();
+    }
+}
+
+/// The devex pivot row `αᵣⱼ = ρᵀaⱼ` of the structural columns, accumulated
+/// row-wise over the nonzero rows of `ρ` through the CSR side of the
+/// matrix. CSC columns list their rows in ascending order, so each `αᵣⱼ`
+/// adds the same products in the same order as a column-wise dot product
+/// (zero products aside); the slack entries are `ρ` itself.
+struct PivotRow {
+    /// `αᵣⱼ` per structural column (zero outside `cols`).
+    alpha: Vec<f64>,
+    seen: Vec<bool>,
+    /// Structural columns some nonzero row of `ρ` reaches, each once.
+    cols: Vec<usize>,
+    /// Rows where `ρ` is nonzero, ascending.
+    rows: Vec<usize>,
+}
+
+impl PivotRow {
+    fn new(n: usize) -> Self {
+        Self {
+            alpha: vec![0.0; n],
+            seen: vec![false; n],
+            cols: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn compute(&mut self, matrix: &SparseModel, rho: &[f64]) {
+        for &j in &self.cols {
+            self.alpha[j] = 0.0;
+            self.seen[j] = false;
+        }
+        self.cols.clear();
+        self.rows.clear();
+        for (i, &p) in rho.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            self.rows.push(i);
+            let row = matrix.row(i);
+            for (&j, &a) in row.cols.iter().zip(row.vals) {
+                let j = j as usize;
+                if !self.seen[j] {
+                    self.seen[j] = true;
+                    self.cols.push(j);
+                }
+                self.alpha[j] += p * a;
+            }
+        }
+    }
 }
 
 /// Content hash guarding [`Basis`] reuse: the matrix's cached row hash
@@ -476,8 +792,9 @@ pub(crate) fn instance_fingerprint(
     h
 }
 
-/// Inner loop outcome (richer than [`LpStatus`]: `Stalled` marks a
-/// factorization failure the caller handles by restarting or giving up).
+/// Inner loop outcome. `Stalled` marks a numerical failure the cold path
+/// first handles by restarting from the slack basis; only an unrecovered
+/// one surfaces as [`LpStatus::Stalled`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Inner {
     Optimal,
@@ -506,7 +823,7 @@ struct Kernel<'a> {
     basis: Vec<usize>,
     /// Current value of every column.
     x: Vec<f64>,
-    etas: Vec<Eta>,
+    etas: EtaFile,
     /// Length of the eta file right after the last (re)factorization; only
     /// the *update* etas beyond it count towards the refactorization
     /// trigger (a product-form refactorization itself emits up to one eta
@@ -577,7 +894,7 @@ impl<'a> Kernel<'a> {
             status: vec![ColStatus::Lower; ncols],
             basis: Vec::new(),
             x: vec![0.0; ncols],
-            etas: Vec::new(),
+            etas: EtaFile::default(),
             base_etas: 0,
             counters: Counters::default(),
             scratch: vec![0.0; m],
@@ -618,7 +935,7 @@ impl<'a> Kernel<'a> {
         k.pricing = pricing;
         k.status.copy_from_slice(&basis.status);
         k.basis = basis.basis.clone();
-        k.etas = basis.etas.clone();
+        k.etas = EtaFile::from_shared(&basis.etas);
         k.base_etas = k.etas.len();
         k.snap_nonbasics();
         k.compute_basics();
@@ -673,16 +990,27 @@ impl<'a> Kernel<'a> {
         let mut w = std::mem::take(&mut self.scratch);
         w.fill(0.0);
         self.scatter_col(j, &mut w);
-        for eta in &self.etas {
-            eta.ftran(&mut w);
-        }
+        self.etas.ftran(&mut w);
         w
     }
 
-    /// BTRAN in place: `v ← B⁻ᵀ·v`.
-    fn btran(&self, v: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            eta.btran(v);
+    /// Fills `y` with the basic costs of the current phase: the composite
+    /// phase-1 costs (±1 on basics outside their box) or the true costs.
+    fn basic_costs(&self, phase1: bool, y: &mut [f64]) {
+        for (i, slot) in y.iter_mut().enumerate() {
+            let b = self.basis[i];
+            *slot = if phase1 {
+                let v = self.x[b];
+                if v < self.lower[b] - FEAS_TOL {
+                    -1.0
+                } else if v > self.upper[b] + FEAS_TOL {
+                    1.0
+                } else {
+                    0.0
+                }
+            } else {
+                self.cost(b)
+            };
         }
     }
 
@@ -730,9 +1058,7 @@ impl<'a> Kernel<'a> {
                 t[j - self.n] -= xj;
             }
         }
-        for eta in &self.etas {
-            eta.ftran(&mut t);
-        }
+        self.etas.ftran(&mut t);
         for (i, &v) in t.iter().enumerate() {
             self.x[self.basis[i]] = v;
         }
@@ -765,14 +1091,9 @@ impl<'a> Kernel<'a> {
         self.compute_basics();
     }
 
-    /// Collapses the eta file: re-factorizes the current basis from scratch
-    /// by Gauss-Jordan with partial pivoting (sparsest columns first).
-    /// Returns `false` when the basis proves numerically singular, in which
-    /// case the state is unchanged except for the cleared eta file and the
-    /// caller must reset or abandon.
-    fn refactorize(&mut self) -> bool {
-        self.counters.refactorizations += 1;
-        self.etas.clear();
+    /// Basic columns in refactorization order: sparsest first, ties by
+    /// index.
+    fn refactor_order(&self) -> Vec<usize> {
         let mut cols: Vec<usize> = self.basis.clone();
         cols.sort_by_key(|&c| {
             let nnz = if c < self.n {
@@ -782,21 +1103,64 @@ impl<'a> Kernel<'a> {
             };
             (nnz, c)
         });
+        cols
+    }
+
+    /// Collapses the eta file: re-factorizes the current basis from scratch
+    /// by Gauss-Jordan with partial pivoting (sparsest columns first).
+    /// Returns `false` when the basis proves numerically singular, in which
+    /// case the state is unchanged except for the cleared eta file and the
+    /// caller must reset or abandon.
+    ///
+    /// Each column is transformed on its nonzero pattern only. Every row is
+    /// pivoted at most once, so an eta is reached exactly through its pivot
+    /// row; a min-heap over the eta indices of the rows the column touches
+    /// applies them in file order with the same zero-skip as a dense FTRAN.
+    /// The pivot is chosen by scanning the sorted pattern with the same
+    /// strict test as a dense scan, so the emitted eta file is bit-for-bit
+    /// the dense Gauss-Jordan one.
+    fn refactorize(&mut self) -> bool {
+        self.counters.refactorizations += 1;
+        self.etas.clear();
+        let cols = self.refactor_order();
         let mut assigned = vec![false; self.m];
         let mut new_basis = vec![usize::MAX; self.m];
+        let mut col = SparseColumn::new(self.m);
         let mut w = std::mem::take(&mut self.scratch);
+        w.fill(0.0);
         let mut ok = true;
         for &c in &cols {
-            w.fill(0.0);
-            self.scatter_col(c, &mut w);
-            for eta in &self.etas {
-                eta.ftran(&mut w);
+            if c < self.n {
+                let (rows, vals) = self.matrix.col(c);
+                for (&r, &a) in rows.iter().zip(vals) {
+                    w[r as usize] = a;
+                    col.touch(r as usize, 0);
+                }
+            } else {
+                w[c - self.n] = 1.0;
+                col.touch(c - self.n, 0);
             }
+            while let Some(Reverse(k)) = col.pending.pop() {
+                let k = k as usize;
+                let (r, pivot, idx, val) = self.etas.own.eta(k);
+                let r = r as usize;
+                if w[r] == 0.0 {
+                    continue;
+                }
+                let p = w[r] / pivot;
+                w[r] = p;
+                for (&i, &a) in idx.iter().zip(val) {
+                    let i = i as usize;
+                    w[i] -= a * p;
+                    col.touch(i, k + 1);
+                }
+            }
+            col.pattern.sort_unstable();
             let mut best = PIVOT_TOL;
             let mut row = usize::MAX;
-            for (i, &wi) in w.iter().enumerate() {
-                if !assigned[i] && wi.abs() > best {
-                    best = wi.abs();
+            for &i in &col.pattern {
+                if !assigned[i] && w[i].abs() > best {
+                    best = w[i].abs();
                     row = i;
                 }
             }
@@ -806,9 +1170,14 @@ impl<'a> Kernel<'a> {
             }
             assigned[row] = true;
             new_basis[row] = c;
-            if let Some(eta) = make_eta(row, &w) {
-                self.etas.push(eta);
+            if self
+                .etas
+                .own
+                .push_column(row, &w, col.pattern.iter().copied())
+            {
+                col.eta_of_row[row] = (self.etas.own.len() - 1) as u32;
             }
+            col.clear(&mut w);
         }
         self.scratch = w;
         if !ok {
@@ -857,6 +1226,10 @@ impl<'a> Kernel<'a> {
         let mut y = vec![0.0f64; self.m];
         // Pivot-row scratch for the devex weight update.
         let mut rho = vec![0.0f64; self.m];
+        let mut pivot_row = PivotRow::new(self.n);
+        // Set when the previous pivot already carried the duals of the new
+        // basis through its BTRAN (fused with its devex pivot row).
+        let mut y_ready = false;
         // Degeneracy guard: Dantzig pricing switches to Bland's rule while
         // the phase measure (infeasibility sum in phase 1, objective in
         // phase 2) has made no progress for `STALL_LIMIT` iterations, and
@@ -899,22 +1272,11 @@ impl<'a> Kernel<'a> {
                 stall += 1;
             }
             // Pricing: y = B⁻ᵀ·c_B, then reduced costs over the nonbasics.
-            for (i, slot) in y.iter_mut().enumerate() {
-                let b = self.basis[i];
-                *slot = if phase1 {
-                    let v = self.x[b];
-                    if v < self.lower[b] - FEAS_TOL {
-                        -1.0
-                    } else if v > self.upper[b] + FEAS_TOL {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                } else {
-                    self.cost(b)
-                };
+            if !y_ready {
+                self.basic_costs(phase1, &mut y);
+                self.etas.btran(&mut y);
             }
-            self.btran(&mut y);
+            y_ready = false;
             let use_bland = stall >= STALL_LIMIT;
             let devex = self.pricing == Pricing::Devex && !use_bland;
             let mut entering: Option<usize> = None;
@@ -1079,40 +1441,6 @@ impl<'a> Kernel<'a> {
                 Some(r) => {
                     self.counters.primal += 1;
                     self.counters.attribute(self.pricing, use_bland);
-                    if devex {
-                        // Reference-framework update (Forrest–Goldfarb):
-                        // the pivot row of the *old* basis rescales every
-                        // nonbasic weight, the leaving column inherits the
-                        // entering one's weight through the pivot element.
-                        let alpha_rq = w[r];
-                        let gamma_q = self.weights[q].max(1.0);
-                        rho.fill(0.0);
-                        rho[r] = 1.0;
-                        self.btran(&mut rho);
-                        let mut peak = 1.0f64;
-                        for j in 0..self.ncols {
-                            if j == q || self.status[j] == ColStatus::Basic || self.is_fixed_col(j)
-                            {
-                                continue;
-                            }
-                            let alpha_rj = self.col_dot(j, &rho);
-                            if alpha_rj == 0.0 {
-                                continue;
-                            }
-                            let ratio = alpha_rj / alpha_rq;
-                            let candidate = ratio * ratio * gamma_q;
-                            if candidate > self.weights[j] {
-                                self.weights[j] = candidate;
-                                peak = peak.max(candidate);
-                            }
-                        }
-                        let leaving_weight = (gamma_q / (alpha_rq * alpha_rq)).max(1.0);
-                        self.weights[self.basis[r]] = leaving_weight;
-                        peak = peak.max(leaving_weight);
-                        if peak > DEVEX_RESET {
-                            self.weights.fill(1.0);
-                        }
-                    }
                     for (i, &wi) in w.iter().enumerate() {
                         if wi != 0.0 {
                             self.x[self.basis[i]] -= dir * t * wi;
@@ -1127,10 +1455,60 @@ impl<'a> Kernel<'a> {
                         ColStatus::Upper
                     };
                     self.status[q] = ColStatus::Basic;
-                    if let Some(eta) = make_eta(r, &w) {
-                        self.etas.push(eta);
-                    }
+                    let pre_pivot = self.etas.len();
+                    self.etas.own.push_column(r, &w, 0..self.m);
                     self.basis[r] = q;
+                    if devex {
+                        // Reference-framework update (Forrest–Goldfarb):
+                        // the pivot row of the *old* basis rescales every
+                        // nonbasic weight, the leaving column inherits the
+                        // entering one's weight through the pivot element.
+                        let alpha_rq = w[r];
+                        let gamma_q = self.weights[q].max(1.0);
+                        rho.fill(0.0);
+                        rho[r] = 1.0;
+                        if self.etas.len() < self.base_etas + REFACTOR_EVERY {
+                            // No refactorization comes first, so the next
+                            // iteration's duals ride along: through the new
+                            // eta alone, then with `ρ` through the old file.
+                            self.basic_costs(phase1, &mut y);
+                            self.etas.btran_tail(&mut y, pre_pivot);
+                            self.etas.btran2_head(&mut rho, &mut y, pre_pivot);
+                            y_ready = true;
+                        } else {
+                            self.etas.btran_head(&mut rho, pre_pivot);
+                        }
+                        pivot_row.compute(self.matrix, &rho);
+                        let n = self.n;
+                        let slacks = pivot_row.rows.iter().map(|&i| (n + i, rho[i]));
+                        let structurals = pivot_row.cols.iter().map(|&j| (j, pivot_row.alpha[j]));
+                        let mut peak = 1.0f64;
+                        for (j, alpha_rj) in structurals.chain(slacks) {
+                            // The pivot is already applied: `q` is basic now
+                            // and the leaving column, nonbasic now, gets its
+                            // weight below — the same columns the pre-pivot
+                            // rule skipped.
+                            if j == leaving
+                                || self.status[j] == ColStatus::Basic
+                                || self.is_fixed_col(j)
+                                || alpha_rj == 0.0
+                            {
+                                continue;
+                            }
+                            let ratio = alpha_rj / alpha_rq;
+                            let candidate = ratio * ratio * gamma_q;
+                            if candidate > self.weights[j] {
+                                self.weights[j] = candidate;
+                                peak = peak.max(candidate);
+                            }
+                        }
+                        let leaving_weight = (gamma_q / (alpha_rq * alpha_rq)).max(1.0);
+                        self.weights[leaving] = leaving_weight;
+                        peak = peak.max(leaving_weight);
+                        if peak > DEVEX_RESET {
+                            self.weights.fill(1.0);
+                        }
+                    }
                 }
             }
             self.scratch = w;
@@ -1244,11 +1622,8 @@ impl<'a> Kernel<'a> {
             // ρ = B⁻ᵀ·e_r gives the pivot row; y = B⁻ᵀ·c_B the duals.
             rho.fill(0.0);
             rho[r] = 1.0;
-            self.btran(&mut rho);
-            for (i, slot) in y.iter_mut().enumerate() {
-                *slot = self.cost(self.basis[i]);
-            }
-            self.btran(&mut y);
+            self.basic_costs(false, &mut y);
+            self.etas.btran2(&mut rho, &mut y);
 
             // Dual ratio test: among nonbasic columns whose movement pushes
             // `x_B[r]` towards its violated bound, the smallest
@@ -1391,9 +1766,7 @@ impl<'a> Kernel<'a> {
                 ColStatus::Upper
             };
             self.status[q] = ColStatus::Basic;
-            if let Some(eta) = make_eta(r, &w) {
-                self.etas.push(eta);
-            }
+            self.etas.own.push_column(r, &w, 0..self.m);
             self.basis[r] = q;
             self.scratch = w;
         }
@@ -1438,10 +1811,8 @@ impl<'a> Kernel<'a> {
     /// per-variable up/down marginal costs by nonbasic status.
     fn reduced_costs(&mut self) -> ReducedCosts {
         let mut y = std::mem::take(&mut self.scratch);
-        for (i, slot) in y.iter_mut().enumerate() {
-            *slot = self.cost(self.basis[i]);
-        }
-        self.btran(&mut y);
+        self.basic_costs(false, &mut y);
+        self.etas.btran(&mut y);
         let mut up = vec![0.0f64; self.n];
         let mut down = vec![0.0f64; self.n];
         for j in 0..self.n {
@@ -1469,7 +1840,7 @@ impl<'a> Kernel<'a> {
         Basis {
             status: self.status,
             basis: self.basis,
-            etas: self.etas,
+            etas: self.etas.into_shared(),
             age,
             rows: self.m,
             vars: self.n,
@@ -1594,8 +1965,12 @@ fn solve_cold(
             LpSolution::no_solution(LpStatus::Unbounded, kernel.counters),
             None,
         ),
-        Inner::IterationLimit | Inner::Stalled => (
+        Inner::IterationLimit => (
             LpSolution::no_solution(LpStatus::IterationLimit, kernel.counters),
+            None,
+        ),
+        Inner::Stalled => (
+            LpSolution::no_solution(LpStatus::Stalled, kernel.counters),
             None,
         ),
     }
@@ -1681,8 +2056,12 @@ pub fn resolve_with_basis_priced(
             LpSolution::no_solution(LpStatus::Unbounded, kernel.counters),
             None,
         )),
-        Inner::IterationLimit | Inner::Stalled => Some((
+        Inner::IterationLimit => Some((
             LpSolution::no_solution(LpStatus::IterationLimit, kernel.counters),
+            None,
+        )),
+        Inner::Stalled => Some((
+            LpSolution::no_solution(LpStatus::Stalled, kernel.counters),
             None,
         )),
     }
@@ -1729,7 +2108,7 @@ impl Kernel<'_> {
         let b = self.basis[r];
         rho.fill(0.0);
         rho[r] = 1.0;
-        self.btran(rho);
+        self.etas.btran(rho);
 
         // Pass 1: shifted coefficients and the shifted row constant β'.
         let mut terms: Vec<GomoryTerm> = Vec::new();
@@ -1930,7 +2309,7 @@ pub fn gomory_cuts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Model, Sense};
+    use crate::model::{Model, Sense, VarId};
 
     fn relax(model: &Model) -> (SparseModel, Vec<f64>, f64, Domains) {
         let objective: Vec<f64> = model.vars().iter().map(|v| v.objective).collect();
@@ -1941,6 +2320,441 @@ mod tests {
             constant,
             Domains::from_model(model),
         )
+    }
+
+    // ---- bit-identity of the sparse kernels against dense oracles ----
+
+    /// One eta as exact bits: row, pivot, term rows, term values.
+    type EtaBits = (u32, u64, Vec<u32>, Vec<u64>);
+
+    impl Kernel<'_> {
+        /// The dense Gauss-Jordan refactorization the sparse one replaced:
+        /// every column is FTRANed through the whole eta file built so far
+        /// and the pivot is scanned over all rows. Kept as the oracle the
+        /// sparse version must reproduce bit for bit.
+        fn refactorize_dense(&mut self) -> bool {
+            self.counters.refactorizations += 1;
+            self.etas.clear();
+            let cols = self.refactor_order();
+            let mut assigned = vec![false; self.m];
+            let mut new_basis = vec![usize::MAX; self.m];
+            let mut w = std::mem::take(&mut self.scratch);
+            let mut ok = true;
+            for &c in &cols {
+                w.fill(0.0);
+                self.scatter_col(c, &mut w);
+                self.etas.own.ftran(&mut w);
+                let mut best = PIVOT_TOL;
+                let mut row = usize::MAX;
+                for (i, &wi) in w.iter().enumerate() {
+                    if !assigned[i] && wi.abs() > best {
+                        best = wi.abs();
+                        row = i;
+                    }
+                }
+                if row == usize::MAX {
+                    ok = false;
+                    break;
+                }
+                assigned[row] = true;
+                new_basis[row] = c;
+                self.etas.own.push_column(row, &w, 0..self.m);
+            }
+            self.scratch = w;
+            if !ok {
+                self.etas.clear();
+                self.base_etas = 0;
+                return false;
+            }
+            self.basis = new_basis;
+            self.base_etas = self.etas.len();
+            self.compute_basics();
+            true
+        }
+
+        /// The eta file as exact bit patterns, across all blocks.
+        fn eta_bits(&self) -> Vec<EtaBits> {
+            self.etas
+                .blocks()
+                .flat_map(|b| (0..b.len()).map(|k| b.eta(k)))
+                .map(|(row, pivot, idx, val)| {
+                    (
+                        row,
+                        pivot.to_bits(),
+                        idx.to_vec(),
+                        val.iter().map(|v| v.to_bits()).collect(),
+                    )
+                })
+                .collect()
+        }
+
+        /// Everything a refactorization determines, as exact bits.
+        fn factor_bits(&self) -> (Vec<EtaBits>, Vec<usize>, Vec<u64>) {
+            (
+                self.eta_bits(),
+                self.basis.clone(),
+                self.x.iter().map(|v| v.to_bits()).collect(),
+            )
+        }
+    }
+
+    /// SplitMix64: a small seeded generator for the randomized tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random sparse LP shaped like the BIST relaxations: binaries and
+    /// boxed continuous variables, short rows of small integer
+    /// coefficients, all three row senses, mixed-sign costs.
+    fn random_model(rng: &mut Rng, vars: usize, rows: usize) -> Model {
+        let mut m = Model::new("random");
+        let xs: Vec<_> = (0..vars)
+            .map(|j| {
+                if j % 3 == 0 {
+                    m.add_continuous(format!("x{j}"), 0.0, 4.0)
+                } else {
+                    m.add_binary(format!("x{j}"))
+                }
+            })
+            .collect();
+        for i in 0..rows {
+            let len = 2 + rng.below(4);
+            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            for _ in 0..len {
+                let x = xs[rng.below(vars)];
+                if terms.iter().all(|&(y, _)| y != x) {
+                    terms.push((x, rng.below(7) as f64 - 3.0 + 0.5 * (rng.below(2) as f64)));
+                }
+            }
+            let rhs = rng.below(4) as f64;
+            match rng.below(8) {
+                0..=2 => m.add_geq(terms, rhs - 2.0, format!("r{i}")),
+                3 => m.add_eq(terms, rhs, format!("r{i}")),
+                _ => m.add_leq(terms, rhs + 1.0, format!("r{i}")),
+            };
+        }
+        m.set_objective(
+            xs.iter()
+                .map(|&x| (x, rng.below(9) as f64 - 4.0))
+                .collect::<Vec<_>>(),
+            Sense::Minimize,
+        );
+        m
+    }
+
+    /// A kernel over `matrix` whose basic set is `cols` (one per row), not
+    /// yet factorized.
+    fn kernel_with_basis<'a>(
+        matrix: &'a SparseModel,
+        objective: &'a [f64],
+        domains: &Domains,
+        cols: &[usize],
+    ) -> Kernel<'a> {
+        let mut k = Kernel::cold(matrix, objective, 0.0, domains, Pricing::Devex);
+        for j in 0..k.ncols {
+            k.status[j] = ColStatus::Lower;
+        }
+        for &c in cols {
+            k.status[c] = ColStatus::Basic;
+        }
+        k.basis = cols.to_vec();
+        k.etas.clear();
+        k.snap_nonbasics();
+        k
+    }
+
+    /// Refactorizes the same basis sparsely and densely and asserts the
+    /// two agree on success and, if so, on every bit of the result.
+    /// Returns whether the basis was nonsingular.
+    fn assert_refactorizations_agree(mut sparse: Kernel<'_>, mut dense: Kernel<'_>) -> bool {
+        let ok = sparse.refactorize();
+        assert_eq!(ok, dense.refactorize_dense(), "singularity verdicts differ");
+        assert_eq!(sparse.factor_bits(), dense.factor_bits());
+        assert_eq!(sparse.base_etas, dense.base_etas);
+        ok
+    }
+
+    #[test]
+    fn sparse_refactorization_matches_dense_on_random_bases() {
+        let mut rng = Rng(0x5eed_fac7);
+        let (mut regular, mut singular) = (0, 0);
+        for _ in 0..300 {
+            let (n, m) = (8 + rng.below(30), 6 + rng.below(24));
+            let model = random_model(&mut rng, n, m);
+            let (matrix, objective, _, domains) = relax(&model);
+            // Up to one structural column per row (drawn from the columns
+            // the rows mention), topped up with random slacks.
+            let structurals = rng.below(m + 1);
+            let mut cols: Vec<usize> = Vec::new();
+            for _ in 0..4 * m {
+                let c = rng.below(n);
+                if cols.len() < structurals && matrix.occurrences(c) > 0 && !cols.contains(&c) {
+                    cols.push(c);
+                }
+            }
+            while cols.len() < m {
+                let c = n + rng.below(m);
+                if !cols.contains(&c) {
+                    cols.push(c);
+                }
+            }
+            let sparse = kernel_with_basis(&matrix, &objective, &domains, &cols);
+            let dense = kernel_with_basis(&matrix, &objective, &domains, &cols);
+            if assert_refactorizations_agree(sparse, dense) {
+                regular += 1;
+            } else {
+                singular += 1;
+            }
+        }
+        assert!(
+            regular > 30 && singular > 30,
+            "{regular} regular, {singular} singular"
+        );
+    }
+
+    #[test]
+    fn sparse_refactorization_rejects_a_singular_basis_like_dense() {
+        // Two identical columns can never both be basic.
+        let mut m = Model::new("twins");
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
+        let z = m.add_binary("z");
+        m.add_leq([(x, 1.0), (y, 1.0), (z, 2.0)], 2.0, "a");
+        m.add_geq([(x, 2.0), (y, 2.0), (z, 1.0)], 1.0, "b");
+        m.set_objective([(x, 1.0)], Sense::Minimize);
+        let (matrix, objective, _, domains) = relax(&m);
+        let mut sparse = kernel_with_basis(&matrix, &objective, &domains, &[0, 1]);
+        let mut dense = kernel_with_basis(&matrix, &objective, &domains, &[0, 1]);
+        assert!(!sparse.refactorize());
+        assert!(!dense.refactorize_dense());
+        assert_eq!(sparse.factor_bits(), dense.factor_bits());
+        assert_eq!(sparse.etas.len(), 0);
+        // Swapping one twin for the third column makes it regular.
+        let sparse = kernel_with_basis(&matrix, &objective, &domains, &[0, 2]);
+        let dense = kernel_with_basis(&matrix, &objective, &domains, &[0, 2]);
+        assert!(assert_refactorizations_agree(sparse, dense));
+    }
+
+    /// Optimal bases along random warm re-solve chains (each fixing one
+    /// more binary), paired with their box.
+    fn warm_chain_bases(
+        rng: &mut Rng,
+        matrix: &SparseModel,
+        objective: &[f64],
+        root: &Domains,
+    ) -> Vec<(Basis, Domains)> {
+        let mut out = Vec::new();
+        let (lp, basis) = solve_lp_basis(matrix, objective, 0.0, root, 10_000);
+        let Some(mut basis) = basis.filter(|_| lp.status == LpStatus::Optimal) else {
+            return out;
+        };
+        let mut domains = root.clone();
+        out.push((basis.clone(), domains.clone()));
+        for _ in 0..6 {
+            let j = rng.below(domains.len());
+            let mut child = domains.clone();
+            if !child.fix(j, rng.below(2) as f64) {
+                continue;
+            }
+            let Some((lp, Some(next))) =
+                resolve_with_basis(matrix, objective, 0.0, &basis, &child, 10_000)
+            else {
+                continue;
+            };
+            assert_eq!(lp.status, LpStatus::Optimal);
+            basis = next;
+            domains = child;
+            out.push((basis.clone(), domains.clone()));
+        }
+        out
+    }
+
+    #[test]
+    fn sparse_refactorization_matches_dense_along_warm_chains() {
+        let mut rng = Rng(0xc4a1_2024);
+        let mut checked = 0;
+        let mut multi_block = 0;
+        for _ in 0..100 {
+            let (n, m) = (20 + rng.below(25), 12 + rng.below(20));
+            let model = random_model(&mut rng, n, m);
+            let (matrix, objective, _, root) = relax(&model);
+            for (basis, domains) in warm_chain_bases(&mut rng, &matrix, &objective, &root) {
+                multi_block += usize::from(basis.etas.len() > 1);
+                let sparse =
+                    Kernel::warm(&matrix, &objective, 0.0, &domains, &basis, Pricing::Devex);
+                let dense =
+                    Kernel::warm(&matrix, &objective, 0.0, &domains, &basis, Pricing::Devex);
+                assert!(
+                    assert_refactorizations_agree(sparse, dense),
+                    "optimal basis is regular"
+                );
+                checked += 1;
+            }
+        }
+        assert!(
+            checked > 100 && multi_block > 10,
+            "{checked} bases, {multi_block} multi-block"
+        );
+    }
+
+    /// A random dense vector with about a third of its entries zero.
+    fn random_vector(rng: &mut Rng, m: usize) -> Vec<f64> {
+        (0..m)
+            .map(|_| match rng.below(3) {
+                0 => 0.0,
+                _ => rng.below(2001) as f64 / 1000.0 - 1.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_vector_btran_matches_two_single_passes() {
+        let mut rng = Rng(0xb7a2);
+        let mut compared = 0;
+        for _ in 0..80 {
+            let (n, m) = (20 + rng.below(25), 12 + rng.below(20));
+            let model = random_model(&mut rng, n, m);
+            let (matrix, objective, _, root) = relax(&model);
+            for (basis, domains) in warm_chain_bases(&mut rng, &matrix, &objective, &root) {
+                let mut kernel =
+                    Kernel::warm(&matrix, &objective, 0.0, &domains, &basis, Pricing::Devex);
+                // Append a few own etas behind the shared blocks, as a
+                // dual pivot would.
+                for _ in 0..3 {
+                    let (q, r) = (rng.below(kernel.n), rng.below(kernel.m));
+                    let w = kernel.ftran_col(q);
+                    if w[r].abs() > PIVOT_TOL {
+                        kernel.etas.own.push_column(r, &w, 0..kernel.m);
+                    }
+                    kernel.scratch = w;
+                }
+                let m = kernel.m;
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (u0, v0) = (random_vector(&mut rng, m), random_vector(&mut rng, m));
+                let (mut u1, mut v1) = (u0.clone(), v0.clone());
+                kernel.etas.btran(&mut u1);
+                kernel.etas.btran(&mut v1);
+                let (mut u2, mut v2) = (u0.clone(), v0.clone());
+                kernel.etas.btran2(&mut u2, &mut v2);
+                assert_eq!(bits(&u1), bits(&u2));
+                assert_eq!(bits(&v1), bits(&v2));
+                // The fused primal split: `v` alone through the etas from
+                // `pre` on, then both through the head, equals a full BTRAN
+                // of `v` and a head-only BTRAN of `u`.
+                let pre = kernel.etas.shared_len + rng.below(kernel.etas.own.len() + 1);
+                let (mut u3, mut v3) = (u0.clone(), v0.clone());
+                kernel.etas.btran_tail(&mut v3, pre);
+                kernel.etas.btran2_head(&mut u3, &mut v3, pre);
+                let mut u4 = u0.clone();
+                kernel.etas.btran_head(&mut u4, pre);
+                assert_eq!(bits(&v1), bits(&v3));
+                assert_eq!(bits(&u4), bits(&u3));
+                compared += 1;
+            }
+        }
+        assert!(compared > 50, "{compared}");
+    }
+
+    #[test]
+    fn basis_snapshots_flatten_shared_blocks_and_reject_bad_term_rows() {
+        use crate::json::Value;
+        let mut rng = Rng(0x5a9);
+        let mut multi_block = 0;
+        let mut tampered = 0;
+        for _ in 0..40 {
+            let (n, m) = (20 + rng.below(25), 12 + rng.below(20));
+            let model = random_model(&mut rng, n, m);
+            let (matrix, objective, _, root) = relax(&model);
+            for (basis, _) in warm_chain_bases(&mut rng, &matrix, &objective, &root) {
+                multi_block += usize::from(basis.etas.len() > 1);
+                // The wire form is one flat eta list however many shared
+                // blocks the basis holds, and reading it back reproduces
+                // the same bytes.
+                let value = basis.snapshot_value();
+                let back = Basis::from_snapshot_value(&value).expect("round trip");
+                assert!(back.etas.len() <= 1);
+                assert_eq!(back.snapshot_value().write(), value.write());
+                assert_eq!(back.cells(), basis.cells());
+                // A term row past the last row is refused, not left to
+                // panic inside a BTRAN.
+                let mut bad = value;
+                let Value::Object(fields) = &mut bad else {
+                    unreachable!()
+                };
+                let Some((_, Value::Array(etas))) = fields.iter_mut().find(|(k, _)| k == "etas")
+                else {
+                    unreachable!()
+                };
+                let term = etas.iter_mut().find_map(|eta| match eta {
+                    Value::Array(parts) => match &mut parts[2] {
+                        Value::Array(terms) => terms.first_mut(),
+                        _ => None,
+                    },
+                    _ => None,
+                });
+                if let Some(Value::Array(term)) = term {
+                    term[0] = Value::Int(m as u64);
+                    assert!(Basis::from_snapshot_value(&bad).is_err());
+                    tampered += 1;
+                }
+            }
+        }
+        assert!(
+            multi_block > 5 && tampered > 20,
+            "{multi_block} multi-block, {tampered} tampered"
+        );
+    }
+
+    #[test]
+    fn row_wise_pivot_row_matches_column_dot_products() {
+        let mut rng = Rng(0x0a1f);
+        let mut nonzero = 0;
+        for _ in 0..80 {
+            let (n, m) = (20 + rng.below(25), 12 + rng.below(20));
+            let model = random_model(&mut rng, n, m);
+            let (matrix, objective, _, root) = relax(&model);
+            for (basis, domains) in warm_chain_bases(&mut rng, &matrix, &objective, &root) {
+                let kernel =
+                    Kernel::warm(&matrix, &objective, 0.0, &domains, &basis, Pricing::Devex);
+                let mut row = PivotRow::new(kernel.n);
+                let mut rho = vec![0.0; kernel.m];
+                for r in 0..kernel.m {
+                    rho.fill(0.0);
+                    rho[r] = 1.0;
+                    kernel.etas.btran(&mut rho);
+                    row.compute(&matrix, &rho);
+                    let mut row_wise = vec![0.0; kernel.ncols];
+                    for &j in &row.cols {
+                        row_wise[j] = row.alpha[j];
+                    }
+                    for &i in &row.rows {
+                        row_wise[kernel.n + i] = rho[i];
+                    }
+                    for j in (0..kernel.ncols).filter(|&j| kernel.status[j] != ColStatus::Basic) {
+                        let dot = kernel.col_dot(j, &rho);
+                        if dot == 0.0 {
+                            assert_eq!(row_wise[j], 0.0, "column {j}");
+                        } else {
+                            assert_eq!(row_wise[j].to_bits(), dot.to_bits(), "column {j}");
+                            nonzero += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(nonzero > 1000, "{nonzero}");
     }
 
     #[test]

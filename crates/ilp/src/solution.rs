@@ -128,6 +128,15 @@ pub struct SolveStats {
     /// eta-file collapses), distinct from [`SolveStats::refactorizations`],
     /// which counts node-level cold factorisations.
     pub lp_basis_refactorizations: u64,
+    /// LP solves that hit their pivot budget
+    /// ([`crate::LpStatus::IterationLimit`]) and so proved nothing: a warm
+    /// re-solve falls back to a cold one, any other LP leaves its node or
+    /// probe without an LP bound.
+    pub lp_iteration_limited: u64,
+    /// LP solves the kernel abandoned on a numerically troubled basis
+    /// ([`crate::LpStatus::Stalled`]); handled exactly like
+    /// [`SolveStats::lp_iteration_limited`] ones.
+    pub lp_stalled: u64,
     /// Number of LP relaxations solved.
     pub lp_solves: u64,
     /// Simplex iterations of each *node relaxation* LP, in the order the

@@ -119,7 +119,8 @@ const HEUR_PERIOD: u64 = 128;
 /// One materialised row handed to [`SparseModel::from_rows`].
 type DenseRow = (Vec<(usize, f64)>, CmpOp, f64);
 
-/// Folds one LP solve's iteration counters into the run statistics.
+/// Folds one LP solve's iteration counters, and a capped or stalled
+/// outcome, into the run statistics.
 fn tally_lp(stats: &mut SolveStats, lp: &LpSolution) {
     stats.lp_pivots += lp.pivots;
     stats.lp_primal_pivots += lp.primal_pivots;
@@ -129,6 +130,11 @@ fn tally_lp(stats: &mut SolveStats, lp: &LpSolution) {
     stats.bland_pivots += lp.bland_pivots;
     stats.lp_bound_flips += lp.bound_flips;
     stats.lp_basis_refactorizations += lp.refactorizations;
+    match lp.status {
+        LpStatus::IterationLimit => stats.lp_iteration_limited += 1,
+        LpStatus::Stalled => stats.lp_stalled += 1,
+        LpStatus::Optimal | LpStatus::Infeasible | LpStatus::Unbounded => {}
+    }
 }
 
 /// How dual bounds are computed at branch-and-bound nodes.
@@ -924,7 +930,7 @@ impl<'a> BranchAndBound<'a> {
                 // tighter row set; stream the optimum whenever it actually
                 // tightened the dual bound.
                 LpStatus::Optimal => self.emit_bound_improved(stats.nodes, lp.objective),
-                LpStatus::Unbounded | LpStatus::IterationLimit => return true,
+                LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::Stalled => return true,
             }
             // An integral root relaxation is a solved instance: log it as an
             // incumbent improvement and stop separating.
@@ -1622,7 +1628,7 @@ impl<'a> BranchAndBound<'a> {
             }
             LpStatus::Infeasible => Solution::without_values(Status::Infeasible, stats),
             LpStatus::Unbounded => Solution::without_values(Status::Unbounded, stats),
-            LpStatus::IterationLimit => {
+            LpStatus::IterationLimit | LpStatus::Stalled => {
                 stats.limit_reached = true;
                 Solution::without_values(Status::Unknown, stats)
             }
@@ -1953,10 +1959,10 @@ impl<'a> BranchAndBound<'a> {
                                 basis_key,
                             };
                         }
-                        // A dual re-solve that hits its pivot budget is
-                        // abandoned (its pivots were counted above); the
+                        // A dual re-solve that hits its pivot budget or
+                        // stalls is abandoned (its pivots were counted above); the
                         // node re-factorises cold below.
-                        LpStatus::Unbounded | LpStatus::IterationLimit => {}
+                        LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::Stalled => {}
                     }
                 }
             }
@@ -1984,7 +1990,9 @@ impl<'a> BranchAndBound<'a> {
                     basis_key,
                 }
             }
-            LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
+            LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::Stalled => {
+                SolvedNodeLp::NoBound
+            }
         }
     }
 
@@ -2135,7 +2143,7 @@ impl<'a> BranchAndBound<'a> {
                     self.pseudo.record(j, up, degradation);
                 }
                 LpStatus::Infeasible => self.pseudo.record(j, up, INFEASIBLE_DEGRADATION),
-                LpStatus::Unbounded | LpStatus::IterationLimit => {}
+                LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::Stalled => {}
             }
         }
     }
@@ -2368,6 +2376,41 @@ mod tests {
             assert!((sol.objective() - 5.0).abs() < 1e-6);
             assert!(sol.is_one(d));
         }
+    }
+
+    #[test]
+    fn capped_and_stalled_lps_are_counted() {
+        // A chain of covering rows needs several pivots; a one-pivot cap
+        // stops it short.
+        let mut m = Model::new("capped");
+        let vars: Vec<_> = (0..6)
+            .map(|i| m.add_continuous(format!("x{i}"), 0.0, 10.0))
+            .collect();
+        for w in vars.windows(2) {
+            m.add_geq([(w[0], 1.0), (w[1], 1.0)], 1.0, "link");
+        }
+        m.set_objective(
+            vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
+            Sense::Minimize,
+        );
+        let matrix = SparseModel::from_model(&m);
+        let objective: Vec<f64> = m.vars().iter().map(|v| v.objective).collect();
+        let domains = Domains::from_model(&m);
+        let mut stats = SolveStats::default();
+        let capped = solve_lp_priced(&matrix, &objective, 0.0, &domains, 1, Pricing::Devex);
+        assert_eq!(capped.status, LpStatus::IterationLimit);
+        tally_lp(&mut stats, &capped);
+        let solved = solve_lp_priced(&matrix, &objective, 0.0, &domains, 10_000, Pricing::Devex);
+        assert_eq!(solved.status, LpStatus::Optimal);
+        tally_lp(&mut stats, &solved);
+        assert_eq!((stats.lp_iteration_limited, stats.lp_stalled), (1, 0));
+        // A stalled LP is its own outcome, not a capped one.
+        let stalled = LpSolution {
+            status: LpStatus::Stalled,
+            ..capped
+        };
+        tally_lp(&mut stats, &stalled);
+        assert_eq!((stats.lp_iteration_limited, stats.lp_stalled), (1, 1));
     }
 
     #[test]
