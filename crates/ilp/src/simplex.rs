@@ -1251,16 +1251,16 @@ impl<'a> Kernel<'a> {
             if self.etas.len() >= self.base_etas + REFACTOR_EVERY && !self.refactorize() {
                 return Inner::Stalled;
             }
-            let (infeasibility_sum, infeasibility_max) = self.infeasibility();
-            // The exit test must match the pricing below, which only sees
-            // per-variable violations beyond `FEAS_TOL`: testing the *sum*
-            // here would let several rounding-level violations add up past
-            // the tolerance, price every composite cost to zero and
-            // mislabel a feasible LP as infeasible.
-            if phase1 && infeasibility_max <= FEAS_TOL {
-                return Inner::Optimal;
-            }
             let measure = if phase1 {
+                let (infeasibility_sum, infeasibility_max) = self.infeasibility();
+                // The exit test must match the pricing below, which only
+                // sees per-variable violations beyond `FEAS_TOL`: testing
+                // the *sum* here would let several rounding-level violations
+                // add up past the tolerance, price every composite cost to
+                // zero and mislabel a feasible LP as infeasible.
+                if infeasibility_max <= FEAS_TOL {
+                    return Inner::Optimal;
+                }
                 infeasibility_sum
             } else {
                 self.objective_now()
@@ -1437,6 +1437,11 @@ impl<'a> Kernel<'a> {
                         self.x[q] = self.lower[q];
                         self.status[q] = ColStatus::Lower;
                     }
+                    // Phase 2 prices with the true costs of an unchanged
+                    // basis through an unchanged eta file, so `y` is still
+                    // exact. Phase 1's composite costs follow `x` and must
+                    // be rebuilt.
+                    y_ready = !phase1;
                 }
                 Some(r) => {
                     self.counters.primal += 1;
