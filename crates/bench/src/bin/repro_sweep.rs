@@ -5,15 +5,17 @@
 //!   every circuit — the parallel engine sweep repeats the rebuild searches
 //!   bit-identically), and
 //! * at the canonical 1000-node LP budget, the tseng/paulin **exactness
-//!   gate**: either `tseng k=2` is proven optimal for the first time, or
-//!   every previously-capped chained row ends strictly below its committed
-//!   capped objective (see [`bist_bench::sweep::exactness_violations`]).
+//!   gate**: the rebuild `tseng k=2` row is proven optimal, and either the
+//!   chained `tseng k=2` row is too, or every previously-capped chained row
+//!   ends strictly below its committed capped objective (see
+//!   [`bist_bench::sweep::exactness_violations`]).
 //!
 //! With `--check-against <path>` it also applies the **deterministic-work
 //! gate**: every `rebuild` and `chained` row must match the sweep artifact
 //! at `path` (typically the committed `BENCH_sweep.json`) in each of
 //! [`bist_bench::sweep::DETERMINISTIC_FIELDS`] — objective, area, proof,
-//! nodes, pivots, cuts and incumbent source. A change that only makes the
+//! bound, gap, stop reason, nodes, pivots, cuts, incumbent source and
+//! failed LPs. A change that only makes the
 //! solver faster passes; one that moves a single pivot fails.
 //!
 //! CI runs this as the perf gate for the pricing/cuts/heuristics layer.
@@ -103,8 +105,9 @@ fn main() {
     }
     if node_limit == DEFAULT_SWEEP_NODES {
         println!(
-            "exactness gate: tseng k=2 proven optimal, or every previously-capped row \
-             strictly below its committed capped objective."
+            "exactness gate: rebuild tseng k=2 proven optimal; chained tseng k=2 proven \
+             optimal, or every previously-capped row strictly below its committed capped \
+             objective."
         );
     }
 }

@@ -79,6 +79,18 @@ pub struct SweepKRow {
     pub chained: bool,
     /// Whether optimality was proven.
     pub optimal: bool,
+    /// Final dual bound of the search (the objective itself when proven).
+    pub best_bound: f64,
+    /// Final relative gap between the incumbent and the dual bound (0 when
+    /// proven).
+    pub gap: f64,
+    /// Why the search stopped: `"proved"`, or `"node cap"` — sweep budgets
+    /// are node-only, so an unproven row ran into its node budget.
+    pub stop: &'static str,
+    /// LP solves that hit their pivot cap and yielded no bound.
+    pub lp_iteration_limited: u64,
+    /// LP solves that stalled numerically and yielded no bound.
+    pub lp_stalled: u64,
 }
 
 impl SweepKRow {
@@ -107,6 +119,11 @@ impl SweepKRow {
                 .unwrap_or_default(),
             chained,
             optimal: design.optimal,
+            best_bound: design.stats.best_bound,
+            gap: design.stats.gap,
+            stop: if design.optimal { "proved" } else { "node cap" },
+            lp_iteration_limited: design.stats.lp_iteration_limited,
+            lp_stalled: design.stats.lp_stalled,
         }
     }
 
@@ -140,6 +157,11 @@ impl SweepKRow {
             .str("incumbent_source", &self.incumbent_source)
             .bool("chained", self.chained)
             .bool("optimal", self.optimal)
+            .f64("best_bound", self.best_bound)
+            .f64("gap", self.gap)
+            .str("stop", self.stop)
+            .u64("lp_iteration_limited", self.lp_iteration_limited)
+            .u64("lp_stalled", self.lp_stalled)
             .finish()
     }
 }
@@ -350,12 +372,14 @@ const CAPPED_BASELINES: &[(&str, usize, f64)] = &[
     ("paulin", 4, 2768.0),
 ];
 
-/// The tseng/paulin exactness-gap gate, evaluated on the chained sweep rows
-/// at the canonical 1000-node LP budget (any other budget returns no
-/// violations — the committed baselines are only meaningful at the budget
-/// they were recorded under). The gate passes when either
+/// The tseng/paulin exactness-gap gate, evaluated at the canonical
+/// 1000-node LP budget (any other budget returns no violations — the
+/// committed baselines are only meaningful at the budget they were
+/// recorded under). The **rebuild** `tseng k=2` row must be proven optimal
+/// (session-symmetry breaking is what proves it). On the chained rows the
+/// gate then passes when either
 ///
-/// * `tseng k=2` is solved to **proven optimality** for the first time, or
+/// * `tseng k=2` is solved to **proven optimality**, or
 /// * every previously-capped row ends **strictly below** its committed
 ///   capped objective (the search got measurably closer everywhere).
 ///
@@ -364,18 +388,21 @@ pub fn exactness_violations(sweeps: &[CircuitSweep], node_limit: u64) -> Vec<Str
     if node_limit != crate::workload::DEFAULT_SWEEP_NODES {
         return Vec::new();
     }
-    let chained_row = |circuit: &str, k: usize| -> Option<&SweepKRow> {
-        sweeps
-            .iter()
-            .find(|s| s.circuit == circuit)
-            .and_then(|s| s.chained.iter().find(|r| r.sessions == k))
+    let row = |circuit: &str, k: usize, chained: bool| -> Option<&SweepKRow> {
+        sweeps.iter().find(|s| s.circuit == circuit).and_then(|s| {
+            if chained { &s.chained } else { &s.rebuild }
+                .iter()
+                .find(|r| r.sessions == k)
+        })
     };
-    if let Some(row) = chained_row("tseng", 2) {
-        if row.optimal {
-            return Vec::new();
-        }
-    }
     let mut violations = Vec::new();
+    if !row("tseng", 2, false).is_some_and(|r| r.optimal) {
+        violations.push("tseng k=2 (rebuild): not proven optimal".to_string());
+    }
+    let chained_row = |circuit: &str, k: usize| row(circuit, k, true);
+    if chained_row("tseng", 2).is_some_and(|r| r.optimal) {
+        return violations;
+    }
     for &(circuit, k, capped) in CAPPED_BASELINES {
         let Some(row) = chained_row(circuit, k) else {
             violations.push(format!("{circuit} k={k}: missing from the sweep"));
@@ -396,8 +423,9 @@ pub fn exactness_violations(sweeps: &[CircuitSweep], node_limit: u64) -> Vec<Str
 }
 
 /// The per-row fields of `BENCH_sweep.json` that a pure speed-up of the
-/// solver must leave untouched: the answer, its proof, and the work that
-/// produced it (nodes, pivots by pricing rule, cuts, incumbent source).
+/// solver must leave untouched: the answer, its proof, its bound, gap and
+/// stop reason, and the work that produced it (nodes, pivots by pricing
+/// rule, cuts, incumbent source, capped and stalled LPs).
 pub const DETERMINISTIC_FIELDS: &[&str] = &[
     "objective",
     "area",
@@ -411,6 +439,11 @@ pub const DETERMINISTIC_FIELDS: &[&str] = &[
     "cuts_emitted",
     "cuts_active",
     "incumbent_source",
+    "best_bound",
+    "gap",
+    "stop",
+    "lp_iteration_limited",
+    "lp_stalled",
 ];
 
 /// The deterministic-work gate: compares the [`DETERMINISTIC_FIELDS`] of
@@ -674,6 +707,28 @@ mod tests {
             .unwrap()
             .is_empty());
         assert!(deterministic_diffs(&sweeps, "{}").is_err());
+    }
+
+    #[test]
+    fn exactness_gate_requires_the_rebuild_tseng_k2_proof() {
+        // figure1 k=2 is proven well inside 60 nodes on both paths; renamed,
+        // it stands in for tseng k=2.
+        let circuits = vec![("figure1", benchmarks::figure1())];
+        let mut sweeps = run_all(&circuits, &workload::sweep_config(60)).unwrap();
+        sweeps[0].circuit = "tseng".into();
+        assert!(sweeps[0].rebuild[1].optimal && sweeps[0].chained[1].optimal);
+        let canonical = workload::DEFAULT_SWEEP_NODES;
+        assert_eq!(
+            exactness_violations(&sweeps, canonical),
+            Vec::<String>::new()
+        );
+        sweeps[0].rebuild[1].optimal = false;
+        assert_eq!(
+            exactness_violations(&sweeps, canonical),
+            vec!["tseng k=2 (rebuild): not proven optimal".to_string()]
+        );
+        // Off the canonical budget the gate is silent.
+        assert!(exactness_violations(&sweeps, 60).is_empty());
     }
 
     #[test]

@@ -13,8 +13,23 @@
 //! they receive a dedicated generator instead and are excluded from
 //! Eqs. (9)–(13) (Section 3.3.4). Its cost is a constant for a fixed module
 //! binding and is added to the objective separately.
+//!
+//! # Interchangeable sessions
+//!
+//! Every session-indexed family (`s_{mrp}`, `t_{rmlp}`, `t_{rp}`, `s_{rp}`,
+//! `c_{rp}`) is invariant under a relabelling of `p`, so for `k ≥ 2` the
+//! formulation declares the sessions interchangeable on the model
+//! ([`bist_ilp::SessionSymmetry`]); Eqs. (6)–(23) themselves are unchanged.
+//! Block `p` lists every session-`p` variable in one fixed position order:
+//! `s` in `(m, r)` order, `t` in `(r, m, l)` order, then `t_{rp}`, `s_{rp}`
+//! and `c_{rp}` in `r` order. Cell `(m, p)` is `{s_{m,r,p}}` over all `r`, so
+//! Eq. (7) places every module in exactly one session. The declaration is
+//! only a claim: the reduce pipeline maps it through its variable map, and
+//! the solver validates it on the model it actually searches before adding
+//! the rows that order sessions by their smallest tested module (see
+//! [`bist_ilp::symmetry`]). `k = 1` declares nothing.
 
-use bist_ilp::LinExpr;
+use bist_ilp::{LinExpr, SessionSymmetry};
 
 use super::BistFormulation;
 use crate::error::CoreError;
@@ -225,7 +240,41 @@ impl BistFormulation<'_> {
             self.add_or_reduction(c_r, &c_terms, format!("eq23[R{r}]"));
             self.c_reg.push(c_r);
         }
+        if k >= 2 {
+            self.declare_session_symmetry(k);
+        }
         Ok(())
+    }
+
+    /// Declares the `k` sub-test sessions interchangeable (see the module
+    /// docs): block `p` lists every session-`p` variable, cell `m` the
+    /// positions of `s_{m,r,p}` over `r`.
+    fn declare_session_symmetry(&mut self, k: usize) {
+        let blocks = (0..k)
+            .map(|p| {
+                let s = self.s.iter().filter(|&(&(_, _, pp), _)| pp == p);
+                let t = self.t.iter().filter(|&(&(_, _, _, pp), _)| pp == p);
+                let per_register = [
+                    &self.t_reg_session,
+                    &self.s_reg_session,
+                    &self.c_reg_session,
+                ]
+                .into_iter()
+                .flat_map(|family| family.iter().filter(|&(&(_, pp), _)| pp == p));
+                s.map(|(_, &v)| v)
+                    .chain(t.map(|(_, &v)| v))
+                    .chain(per_register.map(|(_, &v)| v))
+                    .collect()
+            })
+            .collect();
+        // `s` iterates in (m, r, p) order, so within a block the signature
+        // register of module m on register r sits at position m·R + r.
+        let registers = self.num_registers;
+        let cells = (0..self.input.binding().num_modules())
+            .map(|m| (m * registers..(m + 1) * registers).collect())
+            .collect();
+        self.model
+            .declare_session_symmetry(SessionSymmetry::new(blocks, cells));
     }
 
     /// Adds `indicator = OR(terms)` for binary terms: `N·indicator ≥ Σ terms`

@@ -74,6 +74,7 @@ pub mod snapshot;
 pub mod solution;
 pub mod solver;
 pub mod sparse;
+pub mod symmetry;
 
 pub use cuts::{CutGenerator, CutKind, CutRow};
 pub use error::IlpError;
@@ -86,6 +87,7 @@ pub use snapshot::{model_fingerprint, SnapshotError, SolveSnapshot};
 pub use solution::{CutCounts, Improvement, Solution, SolveStats, Status};
 pub use solver::{BoundMode, SearchOrder, SolverConfig};
 pub use sparse::{RowRef, SparseModel};
+pub use symmetry::SessionSymmetry;
 
 /// Numerical tolerance used throughout the crate when comparing floating
 /// point activities, bounds and objective values.

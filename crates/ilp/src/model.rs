@@ -4,6 +4,7 @@ use crate::error::IlpError;
 use crate::expr::LinExpr;
 use crate::solution::Solution;
 use crate::solver::SolverConfig;
+use crate::symmetry::SessionSymmetry;
 
 /// Opaque handle to a model variable.
 ///
@@ -155,6 +156,7 @@ pub struct Model {
     constraints: Vec<Constraint>,
     objective: LinExpr,
     sense: Sense,
+    session_symmetry: Option<SessionSymmetry>,
 }
 
 impl Model {
@@ -316,6 +318,26 @@ impl Model {
         }
         self.objective = expr;
         self.sense = sense;
+    }
+
+    /// Declares interchangeable blocks of variables (see
+    /// [`crate::symmetry`]). The solver validates the declaration against
+    /// the model it solves and, if it holds, breaks the symmetry with
+    /// canonical-order rows; a declaration that does not hold is ignored.
+    /// Replaces any earlier declaration.
+    pub fn declare_session_symmetry(&mut self, symmetry: SessionSymmetry) {
+        self.session_symmetry = Some(symmetry);
+    }
+
+    /// The declared session symmetry, if any.
+    pub fn session_symmetry(&self) -> Option<&SessionSymmetry> {
+        self.session_symmetry.as_ref()
+    }
+
+    /// Replaces the declaration wholesale (the reduce pipeline's mapped
+    /// copy, or `None` when the mapping dropped it).
+    pub(crate) fn set_session_symmetry(&mut self, symmetry: Option<SessionSymmetry>) {
+        self.session_symmetry = symmetry;
     }
 
     /// Validates structural well-formedness: finite coefficients, bound

@@ -285,7 +285,8 @@ impl ReducedModel {
     /// computed from: the reduced prefix is cloned, the delta variables and
     /// rows are appended with every term translated through the variable map
     /// (terms on fixed variables fold into the right-hand side), and the
-    /// objective of `full` is mapped the same way.
+    /// objective and the declared session symmetry of `full` are mapped the
+    /// same way.
     ///
     /// This is the synthesis engine's per-k path: reduce the circuit base
     /// once, then replay each BIST delta through the map.
@@ -353,6 +354,10 @@ impl ReducedModel {
             }
         }
         out.model.set_objective(objective, full.sense());
+        out.model.set_session_symmetry(
+            full.session_symmetry()
+                .and_then(|symmetry| symmetry.map(&out.dispositions)),
+        );
 
         out.prefix_vars = full.num_vars();
         out.prefix_rows = full.num_constraints();
@@ -483,14 +488,21 @@ enum MappedTerm {
 }
 
 /// Runs the full pipeline on a complete model (objective included).
+/// A declared session symmetry travels into the reduced model through the
+/// variable map ([`crate::SessionSymmetry::map`]).
 pub fn reduce(model: &Model, options: &ReduceOptions) -> ReducedModel {
-    run_pipeline(
+    let mut reduced = run_pipeline(
         model,
         model.num_constraints(),
         model.num_vars(),
         options,
         true,
-    )
+    );
+    let symmetry = model
+        .session_symmetry()
+        .and_then(|symmetry| symmetry.map(&reduced.dispositions));
+    reduced.model.set_session_symmetry(symmetry);
+    reduced
 }
 
 thread_local! {
@@ -1353,6 +1365,9 @@ pub fn solve_reduced_with_events(
     let mut stats = inner.stats().clone();
     stats.presolve_vars_removed = vars_removed;
     stats.presolve_rows_removed = rows_removed;
+    if original.session_symmetry().is_some() && reduced.model.session_symmetry().is_none() {
+        stats.symmetry_rejected += 1;
+    }
     let status = inner.status();
     // The snapshot (if any) describes the *reduced* instance and survives
     // the lift as-is: resuming re-runs the same deterministic reduction,

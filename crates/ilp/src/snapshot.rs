@@ -43,10 +43,11 @@ use crate::solver::SearchOrder;
 use crate::sparse::SparseModel;
 
 /// Content fingerprint of a model: a hash over the sparse constraint
-/// matrix, the variable boxes and kinds, and the internal
-/// (minimisation-sense) objective with its constant. Two models that are
-/// structurally and numerically identical collide; a single changed
-/// coefficient, bound, kind or objective weight separates them. This is
+/// matrix, the variable boxes and kinds, the internal
+/// (minimisation-sense) objective with its constant, and the declared
+/// session symmetry, if any. Two models that are structurally and
+/// numerically identical collide; a single changed coefficient, bound,
+/// kind, objective weight or declaration separates them. This is
 /// the identity the `advbist` job-service cache keys on. (It is *not* the
 /// same hash a [`SolveSnapshot`] records — snapshots fingerprint the
 /// possibly presolve-reduced instance the tree was actually built on.)
@@ -70,6 +71,9 @@ pub fn model_fingerprint(model: &Model) -> u64 {
         crate::sparse::fnv_fold(&mut h, var.kind.lower().to_bits());
         crate::sparse::fnv_fold(&mut h, var.kind.upper().to_bits());
         crate::sparse::fnv_fold(&mut h, u64::from(var.kind.is_integral()));
+    }
+    if let Some(symmetry) = model.session_symmetry() {
+        symmetry.fold_fingerprint(&mut h);
     }
     h
 }

@@ -188,6 +188,13 @@ pub struct SolveStats {
     pub presolve_vars_removed: u64,
     /// Rows removed by the reducing presolve before the search.
     pub presolve_rows_removed: u64,
+    /// Session-symmetry declarations (see [`crate::symmetry`]) the solver
+    /// validated on the model it searched and broke with canonical-order
+    /// rows: 0 or 1 per solve.
+    pub symmetry_validated: u64,
+    /// Declarations ignored: the reduction mapped the blocks apart, or the
+    /// solver's validation found them asymmetric. 0 or 1 per solve.
+    pub symmetry_rejected: u64,
     /// True when this solve continued a [`SolveSnapshot`] instead of
     /// starting a fresh tree; [`SolveStats::nodes`] then counts the whole
     /// tree (capture point included), while every other counter covers

@@ -42,6 +42,7 @@ use crate::simplex::{
 use crate::snapshot::{PseudoSnapshot, RootLpSnapshot, SnapshotNode, SolveSnapshot};
 use crate::solution::{Solution, SolveStats, Status};
 use crate::sparse::SparseModel;
+use crate::symmetry::SessionSymmetry;
 use crate::{EPS, INT_EPS};
 
 /// Pivot budget per LP relaxation solve (node relaxations, the root cut
@@ -118,6 +119,32 @@ const HEUR_PERIOD: u64 = 128;
 
 /// One materialised row handed to [`SparseModel::from_rows`].
 type DenseRow = (Vec<(usize, f64)>, CmpOp, f64);
+
+/// The shared sparse matrix: the model rows, then the symmetry-breaking
+/// rows, then the cuts (both `≤`).
+fn row_matrix(model: &Model, symmetry_rows: &[Vec<(usize, f64)>], cuts: &[CutRow]) -> SparseModel {
+    let rows: Vec<DenseRow> = model
+        .constraints()
+        .iter()
+        .map(|c| {
+            (
+                c.expr.iter().map(|(v, a)| (v.index(), a)).collect(),
+                c.op,
+                c.rhs,
+            )
+        })
+        .chain(
+            symmetry_rows
+                .iter()
+                .map(|terms| (terms.clone(), CmpOp::Le, 0.0)),
+        )
+        .chain(
+            cuts.iter()
+                .map(|cut| (cut.terms.clone(), CmpOp::Le, cut.rhs)),
+        )
+        .collect();
+    SparseModel::from_rows(model.num_vars(), rows)
+}
 
 /// Folds one LP solve's iteration counters, and a capped or stalled
 /// outcome, into the run statistics.
@@ -588,12 +615,26 @@ pub struct BranchAndBound<'a> {
     /// the resume path checks. Cut rows are excluded on purpose — they are
     /// part of the serialized state, not of the instance.
     base_fingerprint: u64,
+    /// The model's session symmetry when it passed validation; `None` when
+    /// undeclared or rejected.
+    symmetry: Option<&'a SessionSymmetry>,
+    /// Canonical-order rows (`terms ≤ 0`) of the validated symmetry. They
+    /// sit between the model rows and the cuts in the shared matrix, are
+    /// derived from the model on every construction (resume included) and
+    /// are neither cuts nor serialized.
+    symmetry_rows: Vec<Vec<(usize, f64)>>,
 }
 
 impl<'a> BranchAndBound<'a> {
     /// Prepares a solver run for `model`.
     pub fn new(model: &'a Model, config: SolverConfig) -> Self {
-        let propagator = Propagator::new(model);
+        let symmetry = model
+            .session_symmetry()
+            .filter(|symmetry| symmetry.is_symmetry_of(model));
+        let symmetry_rows = symmetry
+            .map(SessionSymmetry::order_rows)
+            .unwrap_or_default();
+        let propagator = Propagator::from_matrix(row_matrix(model, &symmetry_rows, &[]));
         let sense_factor = match model.sense() {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
@@ -653,6 +694,8 @@ impl<'a> BranchAndBound<'a> {
             events: None,
             last_bound_emitted: f64::NEG_INFINITY,
             base_fingerprint,
+            symmetry,
+            symmetry_rows,
         }
     }
 
@@ -714,25 +757,8 @@ impl<'a> BranchAndBound<'a> {
     /// accepted cut, and refreshes the occurrence counts the branching rules
     /// read. Called whenever the cut pool grows.
     fn rebuild_matrix(&mut self) {
-        let rows: Vec<DenseRow> = self
-            .model
-            .constraints()
-            .iter()
-            .map(|c| {
-                (
-                    c.expr.iter().map(|(v, a)| (v.index(), a)).collect(),
-                    c.op,
-                    c.rhs,
-                )
-            })
-            .chain(
-                self.cut_rows
-                    .iter()
-                    .map(|cut| (cut.terms.clone(), CmpOp::Le, cut.rhs)),
-            )
-            .collect();
         self.propagator =
-            Propagator::from_matrix(SparseModel::from_rows(self.model.num_vars(), rows));
+            Propagator::from_matrix(row_matrix(self.model, &self.symmetry_rows, &self.cut_rows));
         for (j, slot) in self.occurrence.iter_mut().enumerate() {
             *slot = self.propagator.matrix().occurrences(j);
         }
@@ -1016,7 +1042,13 @@ impl<'a> BranchAndBound<'a> {
     /// expiry are encoded in the returned [`Status`].
     pub fn run(mut self) -> Result<Solution, IlpError> {
         let start = Instant::now();
-        let mut stats = SolveStats::default();
+        let mut stats = SolveStats {
+            symmetry_validated: u64::from(self.symmetry.is_some()),
+            symmetry_rejected: u64::from(
+                self.model.session_symmetry().is_some() && self.symmetry.is_none(),
+            ),
+            ..SolveStats::default()
+        };
 
         if let Some(snapshot) = self.config.resume.take() {
             return self.run_resumed(&snapshot, start, stats);
@@ -1041,7 +1073,14 @@ impl<'a> BranchAndBound<'a> {
             .into_iter()
             .chain(std::mem::take(&mut self.config.initial_solutions))
             .collect();
-        for warm in warm_candidates {
+        for mut warm in warm_candidates {
+            // Relabel into the canonical session order the symmetry rows
+            // admit; relabelling preserves feasibility and the objective.
+            if let Some(symmetry) = self.symmetry {
+                if warm.len() == self.model.num_vars() {
+                    symmetry.canonicalize(&mut warm);
+                }
+            }
             if self.model.is_feasible(&warm, 1e-6) {
                 let obj = self.internal_objective(&warm);
                 if incumbent.as_ref().map(|(b, _)| obj < *b).unwrap_or(true) {

@@ -85,7 +85,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1520,
-        golden_pivots: 4259,
+        golden_pivots: 1151,
     },
     CorpusCase {
         name: "r23k1",
@@ -105,7 +105,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1312,
-        golden_pivots: 1000,
+        golden_pivots: 656,
     },
     CorpusCase {
         name: "r37k1",
@@ -125,7 +125,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1616,
-        golden_pivots: 4276,
+        golden_pivots: 959,
     },
     CorpusCase {
         name: "r58k1",
@@ -145,7 +145,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1424,
-        golden_pivots: 7685,
+        golden_pivots: 3249,
     },
     CorpusCase {
         name: "r71k1",
@@ -165,7 +165,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 2,
         sessions: 2,
         golden_area: 1552,
-        golden_pivots: 2305,
+        golden_pivots: 891,
     },
     CorpusCase {
         name: "r92k1",
@@ -185,6 +185,6 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1920,
-        golden_pivots: 2331,
+        golden_pivots: 578,
     },
 ];
