@@ -24,8 +24,9 @@
 //!   elimination, redundant-row removal, clique merging, coefficient
 //!   tightening, singleton substitution) producing a smaller
 //!   [`reduce::ReducedModel`] with round-trip solution lifting,
-//! * a [`cuts`] pool of knapsack-cover and clique cutting planes, separated
-//!   at the root and re-checked at improved incumbents,
+//! * a [`cuts`] pool deduplicating the Gomory mixed-integer cuts read off
+//!   optimal bases (at the root and at shallow tree nodes) and the conflict
+//!   no-goods learned from infeasible subtrees,
 //! * a branch-and-bound [`solver`] with configurable bounding
 //!   (LP relaxation, propagation-only, or hybrid), pseudo-cost /
 //!   reliability branching with strong-branching initialisation,
@@ -76,7 +77,7 @@ pub mod solver;
 pub mod sparse;
 pub mod symmetry;
 
-pub use cuts::{CutGenerator, CutKind, CutRow};
+pub use cuts::{CutKind, CutPool, CutRow};
 pub use error::IlpError;
 pub use expr::LinExpr;
 pub use model::{CmpOp, Constraint, Model, Sense, VarId, VarKind};

@@ -80,10 +80,12 @@ pub fn model_fingerprint(model: &Model) -> u64 {
 
 /// Snapshot format version; bumped on any layout change so a stale file
 /// fails loudly instead of deserializing garbage. Version 2 added the
-/// Gomory / lifted-cover / no-good cut kinds, the `pending_cuts` batch, the
-/// per-node `ng` (no-good learning allowed) flag and the `eager_separation`
-/// schedule flag; version-1 documents (which cannot contain any of those)
-/// still load, with an empty pending batch and the conservative defaults.
+/// Gomory and no-good cut kinds, the `pending_cuts` batch, the per-node
+/// `ng` (no-good learning allowed) flag and the `eager_separation` schedule
+/// flag; version-1 documents (which cannot contain any of those) still
+/// load, with an empty pending batch and the conservative defaults. A cut
+/// of a retired kind (`cover`, `clique`, `lifted_cover`) in a document of
+/// either version is rejected with an error on its `kind` field.
 pub const FORMAT_VERSION: u64 = 2;
 
 /// Oldest snapshot version the parser still accepts.
@@ -210,10 +212,7 @@ fn cuts_value(cuts: &[CutRow]) -> Value {
                         "kind".into(),
                         Value::Str(
                             match cut.kind {
-                                CutKind::Cover => "cover",
-                                CutKind::Clique => "clique",
                                 CutKind::Gomory => "gomory",
-                                CutKind::LiftedCover => "lifted_cover",
                                 CutKind::NoGood => "nogood",
                             }
                             .into(),
@@ -241,10 +240,7 @@ fn cuts_from(items: &[Value]) -> Result<Vec<CutRow>, SnapshotError> {
             }
         }
         let kind = match cut.get("kind").and_then(Value::as_str) {
-            Some("cover") => CutKind::Cover,
-            Some("clique") => CutKind::Clique,
             Some("gomory") => CutKind::Gomory,
-            Some("lifted_cover") => CutKind::LiftedCover,
             Some("nogood") => CutKind::NoGood,
             _ => return Err(SnapshotError::field("kind")),
         };
@@ -800,9 +796,9 @@ mod tests {
             eager_separation: true,
             cuts: vec![
                 CutRow {
-                    terms: vec![(0, 1.0), (1, 1.0)],
-                    rhs: 1.0,
-                    kind: CutKind::Clique,
+                    terms: vec![(0, 1.0), (1, -1.0)],
+                    rhs: 0.0,
+                    kind: CutKind::NoGood,
                 },
                 CutRow {
                     terms: vec![(0, 0.25), (2, -1.5)],
@@ -812,7 +808,7 @@ mod tests {
                 CutRow {
                     terms: vec![(0, 1.0), (1, 2.0), (2, 1.0)],
                     rhs: 1.0,
-                    kind: CutKind::LiftedCover,
+                    kind: CutKind::Gomory,
                 },
             ],
             pending_cuts: vec![CutRow {
@@ -865,6 +861,20 @@ mod tests {
         assert!(err.to_string().contains("version 99"), "{err}");
         assert!(SolveSnapshot::from_json("{}").is_err());
         assert!(SolveSnapshot::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn retired_cut_kinds_are_rejected_on_kind() {
+        let text = sample().to_json().unwrap();
+        assert!(text.contains("\"kind\":\"gomory\""));
+        for retired in ["cover", "clique", "lifted_cover"] {
+            let stale = text.replacen("\"kind\":\"gomory\"", &format!("\"kind\":\"{retired}\""), 1);
+            assert_eq!(
+                SolveSnapshot::from_json(&stale).unwrap_err(),
+                SnapshotError::field("kind"),
+                "{retired}"
+            );
+        }
     }
 
     #[test]

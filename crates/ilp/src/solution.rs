@@ -66,13 +66,16 @@ pub struct Improvement {
 /// sit in the active row set at the end.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CutCounts {
-    /// Knapsack cover cuts.
+    /// Always 0: the knapsack-cover separator was removed. The field stays
+    /// for readers of the per-kind counters.
     pub cover: u64,
-    /// Clique cuts from the pairwise-conflict graph.
+    /// Always 0: the clique separator was removed. The field stays for
+    /// readers of the per-kind counters.
     pub clique: u64,
     /// Gomory mixed-integer cuts read off fractional basis rows.
     pub gomory: u64,
-    /// Cover cuts lifted with non-cover knapsack items.
+    /// Always 0: the lifted-cover separator was removed. The field stays
+    /// for readers of the per-kind counters.
     pub lifted_cover: u64,
     /// Conflict no-goods learned from infeasibility-refuted subtrees.
     pub nogood: u64,
@@ -87,10 +90,7 @@ impl CutCounts {
     /// Increments the counter for `kind`.
     pub(crate) fn bump(&mut self, kind: CutKind) {
         match kind {
-            CutKind::Cover => self.cover += 1,
-            CutKind::Clique => self.clique += 1,
             CutKind::Gomory => self.gomory += 1,
-            CutKind::LiftedCover => self.lifted_cover += 1,
             CutKind::NoGood => self.nogood += 1,
         }
     }

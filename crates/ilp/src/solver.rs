@@ -29,7 +29,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cuts::{nogood_from_fixings, CutGenerator, CutKind, CutRow};
+use crate::cuts::{nogood_from_fixings, CutKind, CutPool, CutRow};
 use crate::error::IlpError;
 use crate::heuristics::{greedy_dive, lp_guided_dive, pump_target, rins_dive, round_and_repair};
 use crate::model::{CmpOp, Model, Sense};
@@ -55,8 +55,6 @@ const TREE_SEPARATIONS: usize = 6;
 /// In-tree separation budget for eager (chained warm-started) solves: the
 /// anchoring incumbent makes extra shallow rounds pay for themselves.
 const TREE_SEPARATIONS_EAGER: usize = 12;
-/// Maximum cuts accepted per separation call.
-const CUTS_PER_ROUND: usize = 24;
 /// Capacity of the node-basis cache. Bases are only kept for the most
 /// recently solved LP nodes — with depth-first search that is the active
 /// DFS spine (a child is popped right after its parent), with best-first it
@@ -229,11 +227,12 @@ pub struct SolverConfig {
     /// reduced model instead of the raw one (solutions are lifted back
     /// transparently). On by default.
     pub presolve: bool,
-    /// Seed a cut pool with knapsack-cover and clique cuts
-    /// ([`crate::cuts`]), separated at the root and re-checked at improved
-    /// incumbents. On by default. Has no effect under
-    /// [`BoundMode::Propagation`], which never produces the LP points
-    /// separation needs.
+    /// Cutting planes ([`crate::cuts`]): Gomory mixed-integer cuts read off
+    /// the root LP and shallow node LPs, and conflict no-goods learned from
+    /// infeasible subtrees. On by default; the differential tests switch it
+    /// off for their plain-search reference. Under
+    /// [`BoundMode::Propagation`], which never produces the LP bases Gomory
+    /// separation needs, only no-goods are learned.
     pub cuts: bool,
     /// Run shallow in-tree Gomory rounds from the first descent instead of
     /// waiting for the node counter to mature. Off by default: early extra
@@ -552,14 +551,14 @@ pub struct BranchAndBound<'a> {
     objective_constant: f64,
     sense_factor: f64,
     occurrence: Vec<usize>,
-    /// Cut pool: the generator mines the model once, `cut_rows` holds every
-    /// accepted cut. The rows live in the shared sparse matrix, so the
-    /// propagator, the simplex and the branching rules consume them exactly
-    /// like model rows.
-    cut_source: Option<CutGenerator>,
+    /// Cut pool: `cut_pool` deduplicates every emitted cut (`None` when
+    /// cuts are off), `cut_rows` holds every accepted one. The rows live in
+    /// the shared sparse matrix, so the propagator, the simplex and the
+    /// branching rules consume them exactly like model rows.
+    cut_pool: Option<CutPool>,
     cut_rows: Vec<CutRow>,
     /// Learned no-good cuts awaiting their batched install (see
-    /// [`NOGOOD_FLUSH`]); already registered in the generator's dedup pool,
+    /// [`NOGOOD_FLUSH`]); already registered in the dedup pool,
     /// and serialized with snapshots so a resume flushes the same batch.
     pending_cuts: Vec<CutRow>,
     /// Remaining in-tree separation passes (re-checks at improved
@@ -648,12 +647,7 @@ impl<'a> BranchAndBound<'a> {
         let occurrence: Vec<usize> = (0..model.num_vars())
             .map(|j| propagator.matrix().occurrences(j))
             .collect();
-        // The generator is kept even without mined knapsack/clique sources:
-        // it owns the dedup pool that Gomory and no-good emission go
-        // through, and the paper circuits are exactly the models where the
-        // mined separators never fire but the basis-derived cuts do.
-        let cut_source =
-            (config.cuts && model.num_integral() > 0).then(|| CutGenerator::new(model));
+        let cut_pool = (config.cuts && model.num_integral() > 0).then(CutPool::new);
         let num_vars = model.num_vars();
         let root_box = Domains::from_model(model);
         let integral_mask: Vec<bool> = (0..num_vars).map(|j| root_box.is_integral(j)).collect();
@@ -677,7 +671,7 @@ impl<'a> BranchAndBound<'a> {
             objective_constant,
             sense_factor,
             occurrence,
-            cut_source,
+            cut_pool,
             cut_rows: Vec::new(),
             pending_cuts: Vec::new(),
             tree_separations_left: TREE_SEPARATIONS,
@@ -768,44 +762,12 @@ impl<'a> BranchAndBound<'a> {
         self.root_basis_key = None;
     }
 
-    /// Separates cuts violated by `lp_values`, installs them in the row set
-    /// and re-propagates `domains`. Returns `false` when the tightened row
-    /// set proves the box empty.
-    fn install_cuts(
-        &mut self,
-        lp_values: &[f64],
-        domains: &mut Domains,
-        stats: &mut SolveStats,
-    ) -> Option<bool> {
-        let generator = self.cut_source.as_mut()?;
-        let new_cuts = generator.separate(lp_values, CUTS_PER_ROUND);
-        if new_cuts.is_empty() {
-            return None;
-        }
-        for cut in &new_cuts {
-            stats.cuts_emitted.bump(cut.kind);
-            if self.config.record_cuts {
-                stats.emitted_cuts.push(cut.clone());
-            }
-        }
-        stats.cuts += new_cuts.len() as u64;
-        self.emit(SolveEvent::CutRound {
-            nodes: stats.nodes,
-            added: new_cuts.len() as u64,
-            total: stats.cuts,
-        });
-        self.cut_rows.extend(new_cuts);
-        self.rebuild_matrix();
-        stats.propagations += 1;
-        Some(self.propagator.propagate(domains) != PropagationResult::Infeasible)
-    }
-
     /// Reads Gomory mixed-integer cuts off the fractional rows of `basis`,
     /// installs the ones the LP point violates and re-propagates `domains`.
     /// Cuts are unshifted to the *root* box (not the node's), so they are
     /// valid for the whole tree even when derived at a branched node.
     /// Returns `None` when nothing was installed, `Some(feasible)`
-    /// otherwise, mirroring [`BranchAndBound::install_cuts`].
+    /// otherwise (`false` when the tightened row set proves the box empty).
     fn install_gomory(
         &mut self,
         basis: &Basis,
@@ -813,7 +775,7 @@ impl<'a> BranchAndBound<'a> {
         domains: &mut Domains,
         stats: &mut SolveStats,
     ) -> Option<bool> {
-        self.cut_source.as_ref()?;
+        self.cut_pool.as_ref()?;
         let candidates = gomory_cuts(
             self.propagator.matrix(),
             &self.objective,
@@ -844,7 +806,7 @@ impl<'a> BranchAndBound<'a> {
                 rhs,
                 kind: CutKind::Gomory,
             };
-            if self.cut_source.as_mut().is_some_and(|g| g.admit(&cut)) {
+            if self.cut_pool.as_mut().is_some_and(|pool| pool.admit(&cut)) {
                 stats.cuts_emitted.bump(CutKind::Gomory);
                 if self.config.record_cuts {
                     stats.emitted_cuts.push(cut.clone());
@@ -876,7 +838,7 @@ impl<'a> BranchAndBound<'a> {
     /// could slice off the optimum. Bound-pruned subtrees are never
     /// learned from for the same reason.
     fn learn_nogood(&mut self, node: &Node, stats: &mut SolveStats) {
-        if !node.nogood_ok || node.depth == 0 || self.cut_source.is_none() {
+        if !node.nogood_ok || node.depth == 0 || self.cut_pool.is_none() {
             return;
         }
         let mut ones = Vec::new();
@@ -896,7 +858,7 @@ impl<'a> BranchAndBound<'a> {
             return;
         }
         let cut = nogood_from_fixings(&ones, &zeros);
-        if self.cut_source.as_mut().is_some_and(|g| g.admit(&cut)) {
+        if self.cut_pool.as_mut().is_some_and(|pool| pool.admit(&cut)) {
             stats.cuts_emitted.bump(CutKind::NoGood);
             if self.config.record_cuts {
                 stats.emitted_cuts.push(cut.clone());
@@ -923,8 +885,8 @@ impl<'a> BranchAndBound<'a> {
         self.rebuild_matrix();
     }
 
-    /// Root cut loop: solve the root LP, separate violated covers/cliques,
-    /// tighten and repeat. Returns `false` when the root becomes infeasible
+    /// Root cut loop: solve the root LP, read Gomory cuts off its optimal
+    /// basis, tighten and repeat. Returns `false` when the root becomes infeasible
     /// (only possible numerically, since cuts preserve every integer point).
     fn root_cuts(
         &mut self,
@@ -964,28 +926,18 @@ impl<'a> BranchAndBound<'a> {
                 self.cache_root_lp(lp, basis);
                 return true;
             }
-            match self.install_cuts(&lp.values, domains, stats) {
-                None => {
-                    // The mined cover/clique pool is dry; read Gomory cuts
-                    // off the optimal basis instead. The paper circuits'
-                    // root LPs violate no mined cut at all, so this is
-                    // where their root tightening actually happens.
-                    if let Some(b) = basis.as_ref() {
-                        match self.install_gomory(b, &lp.values, domains, stats) {
-                            Some(true) => continue,
-                            Some(false) => return false,
-                            None => {}
-                        }
-                    }
-                    // No violated cuts: this LP is valid for the final row
-                    // set, so hand it to the root node instead of having it
-                    // re-solve the identical relaxation.
-                    self.cache_root_lp(lp, basis);
-                    return true;
+            if let Some(b) = basis.as_ref() {
+                match self.install_gomory(b, &lp.values, domains, stats) {
+                    Some(true) => continue,
+                    Some(false) => return false,
+                    None => {}
                 }
-                Some(true) => {}
-                Some(false) => return false,
             }
+            // No violated cuts: this LP is valid for the final row set, so
+            // hand it to the root node instead of having it re-solve the
+            // identical relaxation.
+            self.cache_root_lp(lp, basis);
+            return true;
         }
         true
     }
@@ -1154,13 +1106,13 @@ impl<'a> BranchAndBound<'a> {
             return Ok(self.solve_pure_lp(&root, start, stats, incumbent));
         }
 
-        // Seed the cut pool at the root: separate covers/cliques against the
-        // root LP, tighten, repeat. The accepted cuts join the shared row set
+        // Seed the cut pool at the root: read Gomory cuts off the root LP's
+        // basis, tighten, repeat. The accepted cuts join the shared row set
         // for the whole search. Propagation-only runs skip this — their
-        // point is to avoid the simplex, and without LP points neither the
-        // root loop nor the in-tree re-checks could separate anything.
+        // point is to avoid the simplex, and without LP bases neither the
+        // root loop nor the in-tree rounds could separate anything.
         let mut root_closed = false;
-        if self.cut_source.is_some()
+        if self.cut_pool.is_some()
             && self.use_lp_at(0)
             && !skip_root_work
             && !self.root_cuts(&mut root, &mut stats, &mut incumbent, start)
@@ -1239,9 +1191,9 @@ impl<'a> BranchAndBound<'a> {
         // pools feed the emitted set; the pending batch flushes on the same
         // node-count trigger the uninterrupted run would have hit.
         self.pending_cuts = snap.pending_cuts.clone();
-        if let Some(generator) = self.cut_source.as_mut() {
-            generator.restore_emitted(&snap.cuts);
-            generator.restore_emitted(&snap.pending_cuts);
+        if let Some(pool) = self.cut_pool.as_mut() {
+            pool.restore_emitted(&snap.cuts);
+            pool.restore_emitted(&snap.pending_cuts);
         }
         self.tree_separations_left = snap.tree_separations_left;
         self.eager_separation = snap.eager_separation;
@@ -1429,28 +1381,20 @@ impl<'a> BranchAndBound<'a> {
                 }
             }
 
-            // In-tree separation: re-check the mined pool whenever the
-            // incumbent improved at this node (the new incumbent's
-            // neighbourhood is where violated covers/cliques are most
-            // likely), and at shallow nodes additionally read Gomory cuts
-            // off the node's optimal basis — tightening the relaxation near
-            // the top of the tree prunes almost everything below it.
+            // In-tree separation: at shallow nodes read Gomory cuts off the
+            // node's optimal basis — tightening the relaxation near the top
+            // of the tree prunes almost everything below it. A deeper node
+            // that improved the incumbent still spends one pass of the
+            // budget without separating, which keeps the shallow rounds on
+            // the schedule every committed search was measured under.
             let improved =
                 incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY) < incumbent_obj - EPS;
             let shallow = node.depth <= TREE_CUT_DEPTH
                 && (self.eager_separation || stats.nodes >= TREE_CUT_MIN_NODES);
-            if (improved || shallow) && self.tree_separations_left > 0 && self.cut_source.is_some()
-            {
+            if (improved || shallow) && self.tree_separations_left > 0 && self.cut_pool.is_some() {
                 if let Some(lp) = bound.as_ref() {
                     self.tree_separations_left -= 1;
-                    let mined = self.install_cuts(&lp.values, &mut node.domains, &mut stats);
-                    if mined == Some(false) {
-                        continue;
-                    }
-                    // A mined install rebuilt the matrix and invalidated
-                    // the basis, so Gomory only runs when nothing was
-                    // mined (the usual case on the paper circuits).
-                    if mined.is_none() && shallow {
+                    if shallow {
                         if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
                             if self.install_gomory(
                                 &basis,

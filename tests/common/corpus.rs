@@ -125,7 +125,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1616,
-        golden_pivots: 959,
+        golden_pivots: 747,
     },
     CorpusCase {
         name: "r58k1",
