@@ -1,5 +1,5 @@
-//! Ablation experiments (ours, not in the paper): how much the design
-//! choices called out in DESIGN.md matter.
+//! Ablation experiments (ours, not in the paper): how much this
+//! implementation's design choices matter.
 //!
 //! * search-space reduction (Section 3.5) on vs off,
 //! * LP-relaxation bounds vs propagation-only bounds in the branch and bound,

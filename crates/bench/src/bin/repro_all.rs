@@ -1,9 +1,9 @@
 //! Runs the whole evaluation (Tables 1-3, Figures 1-3, the k-sweep engine
-//! comparison) and prints a JSON summary at the end, suitable for pasting
-//! into EXPERIMENTS.md. The sweep comparison is also written to
-//! `BENCH_sweep.json` so the perf trajectory can be tracked across PRs, and
-//! re-served through the `advbist::service` job queue as the front-door
-//! acceptance gate (identical objectives under the per-job budgets).
+//! comparison) and prints a JSON summary at the end. The sweep comparison is
+//! also written to `BENCH_sweep.json` so the perf trajectory can be tracked
+//! across PRs, and re-served through the `advbist::service` job queue as the
+//! front-door acceptance gate (identical objectives under the per-job
+//! budgets).
 //!
 //! The solve budget comes from one [`bist_ilp::Budget::from_env`] read:
 //! `BIST_TIME_LIMIT_SECS` (default 5 s) per table/figure ILP solve,

@@ -22,8 +22,8 @@
 //! node-budgeted comparisons, and `BIST_DEADLINE_SECS` puts an absolute
 //! deadline on the table/figure solves of a run (the node-budgeted
 //! comparisons ignore it — they must stay deterministic). The paper used a
-//! 24-CPU-hour cap on CPLEX 6.0, so absolute runtimes are not comparable —
-//! see EXPERIMENTS.md.
+//! 24-CPU-hour cap on CPLEX 6.0, so absolute runtimes are not comparable
+//! with the paper's.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

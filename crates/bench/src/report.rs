@@ -108,7 +108,8 @@ pub fn cut_counts_json(counts: &bist_ilp::CutCounts) -> String {
         .finish()
 }
 
-/// A complete harness run, serialisable to JSON for EXPERIMENTS.md.
+/// A complete harness run, serialisable to JSON (the summary `repro_all`
+/// prints at the end).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExperimentReport {
     /// Per-instance ILP budget in seconds.

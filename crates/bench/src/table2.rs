@@ -123,8 +123,7 @@ mod tests {
         // sub-test sessions relax the concurrency constraints). Under the
         // small time budgets used in tests the solver is heuristic, so we
         // only check the sweep structure and that overheads stay in a sane
-        // band; the strict trend is checked by the harness run recorded in
-        // EXPERIMENTS.md.
+        // band; the strict trend shows in a full-budget `repro_table2` run.
         let input = benchmarks::tseng();
         let config = workload::quick_config(Duration::from_millis(600));
         let rows = run_circuit("tseng", &input, &config).unwrap();

@@ -6,8 +6,8 @@
 //! a 6-tap wavelet filter. HYPER and the authors' intermediate files are not
 //! available, so the filter DFGs here are reconstructed from the textbook
 //! filter structures and scheduled/bound with this crate's list scheduler and
-//! minimal binding; DESIGN.md documents the substitution and EXPERIMENTS.md
-//! compares the resulting resource counts against the paper's.
+//! minimal binding. The `resource_counts_match_expectations` test pins the
+//! resulting module counts and lists the paper's counts next to them.
 //!
 //! Every function returns a fully validated [`SynthesisInput`] (DFG +
 //! schedule + module binding), ready for register/BIST assignment.
@@ -83,7 +83,8 @@ mod tests {
         // (name, modules, registers) — our reconstruction targets; the
         // paper's counts are (tseng 3/5, paulin 4/5, fir6 3/7, iir3 3/6,
         // dct4 4/6, wavelet6 3/7). Registers may differ slightly because the
-        // filter DFGs are rebuilt from textbook structures (see DESIGN.md).
+        // filter DFGs are rebuilt from textbook structures (see the module
+        // docs).
         let expectations = [
             ("tseng", 3),
             ("paulin", 4),

@@ -16,7 +16,7 @@
 //! * the [`benchmarks`] used in the paper's evaluation (the Figure 1
 //!   example, *tseng*, *paulin*, and the four HYPER-derived filters
 //!   *fir6*, *iir3*, *dct4*, *wavelet6* — reconstructed from their textbook
-//!   definitions, see DESIGN.md for the substitution note), plus a random
+//!   definitions, see [`benchmarks`] for the substitution note), plus a random
 //!   DFG generator for stress tests,
 //! * Graphviz [`dot`] export.
 //!

@@ -47,11 +47,6 @@ pub struct CutPool {
 }
 
 impl CutPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Re-registers previously emitted cuts in the dedup set, so a
     /// snapshot-resumed search (which reinstalls the serialized cut pool
     /// into the row set) never separates a duplicate of a cut it already
@@ -121,7 +116,7 @@ mod tests {
 
     #[test]
     fn pool_admits_each_row_once() {
-        let mut pool = CutPool::new();
+        let mut pool = CutPool::default();
         assert!(pool.admit(&gomory(vec![(0, 0.5), (2, 1.0)], 1.0)));
         // Same row with its terms listed in another order: a duplicate.
         assert!(!pool.admit(&gomory(vec![(2, 1.0), (0, 0.5)], 1.0)));
@@ -136,7 +131,7 @@ mod tests {
             gomory(vec![(1, 1.0), (3, -0.5)], 0.5),
             nogood_from_fixings(&[4], &[0]),
         ];
-        let mut pool = CutPool::new();
+        let mut pool = CutPool::default();
         pool.restore_emitted(&cuts);
         assert!(cuts.iter().all(|cut| !pool.admit(cut)));
     }

@@ -5,13 +5,9 @@
 //! pruning for the BIST formulations, whose constraint structure (assignment
 //! rows plus implication chains) makes greedy, propagation-repaired dives
 //! succeed very often. On top of the pre-search [`greedy_dive`] /
-//! [`round_and_repair`] pair, the search layer invokes a *scheduled*
-//! heuristic rotation on a node-count period: [`lp_guided_dive`] (fix along
-//! the relaxation, backtracking a bounded number of failed decisions), a
-//! feasibility pump built from [`pump_target`] plus distance-objective LPs
-//! driven by the solver, and a RINS-style [`rins_dive`] that fixes the
-//! variables on which the incumbent and the node relaxation agree before
-//! diving on the rest.
+//! [`round_and_repair`] pair, the search layer runs [`lp_guided_dive`] (fix
+//! along the relaxation, backtracking a bounded number of failed decisions)
+//! on a node-count schedule.
 
 use crate::propagate::{Domains, PropagationResult, Propagator};
 
@@ -174,68 +170,6 @@ pub fn lp_guided_dive(
     Some(values)
 }
 
-/// The feasibility-pump rounding step: the integral point of the box nearest
-/// to an LP solution. The solver alternates this with a distance-objective
-/// LP until the two meet (an LP-feasible integral point) or the pump cycles.
-pub fn pump_target(domains: &Domains, lp_values: &[f64]) -> Vec<f64> {
-    lp_values
-        .iter()
-        .enumerate()
-        .map(|(j, &v)| {
-            if domains.is_integral(j) {
-                v.round().clamp(domains.lower(j), domains.upper(j))
-            } else {
-                v.clamp(domains.lower(j), domains.upper(j))
-            }
-        })
-        .collect()
-}
-
-/// RINS-style improvement dive: fixes every unfixed integral variable on
-/// which the incumbent and the node relaxation agree (the relaxation rounds
-/// to the incumbent's value), then dives LP-guided on the remaining
-/// neighbourhood. Returns a feasible assignment when the sub-dive succeeds —
-/// the caller decides whether it actually improves the incumbent.
-pub fn rins_dive(
-    propagator: &Propagator,
-    start: &Domains,
-    incumbent: &[f64],
-    lp_values: &[f64],
-    objective: &[f64],
-) -> Option<Vec<f64>> {
-    let n = start.len();
-    if incumbent.len() != n || lp_values.len() != n {
-        return None;
-    }
-    let mut domains = start.clone();
-    let mut fixed = Vec::new();
-    let mut free = 0usize;
-    for j in 0..n {
-        if !domains.is_integral(j) || domains.is_fixed(j) {
-            continue;
-        }
-        let agree = (lp_values[j].round() - incumbent[j].round()).abs() < 0.5;
-        let target = incumbent[j].round();
-        if agree && target >= domains.lower(j) - 0.5 && target <= domains.upper(j) + 0.5 {
-            if !domains.fix(j, target.clamp(domains.lower(j), domains.upper(j))) {
-                return None;
-            }
-            fixed.push(j);
-        } else {
-            free += 1;
-        }
-    }
-    // A neighbourhood with nothing left to decide re-derives the incumbent;
-    // one with nothing fixed is a plain dive the scheduler already runs.
-    if fixed.is_empty() || free == 0 {
-        return None;
-    }
-    if propagator.propagate_seeded(&mut domains, &fixed) == PropagationResult::Infeasible {
-        return None;
-    }
-    lp_guided_dive(propagator, &domains, lp_values, objective)
-}
-
 /// Rounds a fractional LP solution to the nearest integers and repairs it by
 /// propagation; returns a feasible assignment when the repair succeeds.
 pub fn round_and_repair(
@@ -366,48 +300,6 @@ mod tests {
         let (prop, dom, obj) = setup(&m);
         let sol = lp_guided_dive(&prop, &dom, &[0.2], &obj).expect("feasible");
         assert!(sol[x.index()] > 0.5);
-    }
-
-    #[test]
-    fn pump_target_rounds_into_the_box() {
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        let c = m.add_continuous("c", 0.0, 2.0);
-        m.set_objective([(x, 1.0)], Sense::Minimize);
-        let dom = Domains::from_model(&m);
-        let target = pump_target(&dom, &[0.7, 3.5]);
-        assert_eq!(target[x.index()], 1.0);
-        assert_eq!(target[c.index()], 2.0);
-    }
-
-    #[test]
-    fn rins_dive_fixes_agreements_and_completes() {
-        // Incumbent and relaxation agree on x = 1; y stays free and the
-        // sub-dive must pick it to satisfy the covering row.
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_geq([(x, 1.0), (y, 1.0), (z, 1.0)], 2.0, "cover");
-        m.set_objective([(x, 1.0), (y, 2.0), (z, 3.0)], Sense::Minimize);
-        let (prop, dom, obj) = setup(&m);
-        let incumbent = [1.0, 0.0, 1.0];
-        let lp = [0.9, 0.6, 0.5];
-        let sol = rins_dive(&prop, &dom, &incumbent, &lp, &obj).expect("feasible");
-        assert!(m.is_feasible(&sol, 1e-6));
-        assert!(sol[x.index()] > 0.5);
-    }
-
-    #[test]
-    fn rins_dive_declines_trivial_neighbourhoods() {
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        m.set_objective([(x, 1.0)], Sense::Minimize);
-        let (prop, dom, obj) = setup(&m);
-        // Full agreement: nothing left free, nothing to improve.
-        assert!(rins_dive(&prop, &dom, &[1.0], &[1.0], &obj).is_none());
-        // No agreement: plain dive territory, not a RINS neighbourhood.
-        assert!(rins_dive(&prop, &dom, &[1.0], &[0.1], &obj).is_none());
     }
 
     #[test]

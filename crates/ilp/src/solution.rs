@@ -56,8 +56,8 @@ pub struct Improvement {
     /// The new incumbent objective, in the model's external sense.
     pub objective: f64,
     /// Which layer produced the incumbent: `"warm-start"`, `"dive"`,
-    /// `"root-lp"`, `"node-lp"`, `"rounding"`, `"lp-dive"`, `"pump"`,
-    /// `"rins"` or `"lp"` (pure LP models).
+    /// `"root-lp"`, `"node-lp"`, `"rounding"`, `"lp-dive"` or `"lp"` (pure
+    /// LP models).
     pub source: &'static str,
 }
 

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use crate::cuts::{nogood_from_fixings, CutKind, CutPool, CutRow};
 use crate::error::IlpError;
-use crate::heuristics::{greedy_dive, lp_guided_dive, pump_target, rins_dive, round_and_repair};
+use crate::heuristics::{greedy_dive, lp_guided_dive, round_and_repair};
 use crate::model::{CmpOp, Model, Sense};
 use crate::propagate::{Domains, PropagationResult, Propagator};
 use crate::session::{Budget, CancelToken, SolveEvent};
@@ -45,8 +45,8 @@ use crate::sparse::SparseModel;
 use crate::symmetry::SessionSymmetry;
 use crate::{EPS, INT_EPS};
 
-/// Pivot budget per LP relaxation solve (node relaxations, the root cut
-/// loop and the heuristic LPs).
+/// Pivot budget per LP solve (node relaxations, the root cut loop and pure
+/// LP models).
 const MAX_LP_PIVOTS: u64 = 50_000;
 /// Maximum separation rounds at the root node.
 const ROOT_CUT_ROUNDS: usize = 4;
@@ -110,10 +110,10 @@ const NOGOOD_MAX_TERMS: usize = 24;
 /// pending, so one matrix rebuild (which invalidates every cached basis)
 /// amortises over several conflicts.
 const NOGOOD_FLUSH: usize = 8;
-/// Node-count period of the scheduled heuristic layer; the slot rotation is
-/// a pure function of the node counter, so the schedule survives
-/// snapshot/resume and engine-vs-rebuild comparisons unchanged.
-const HEUR_PERIOD: u64 = 128;
+/// Node-count period of the scheduled LP-guided dive. The schedule is a
+/// pure function of the node counter, so it survives snapshot/resume and
+/// engine-vs-rebuild comparisons unchanged.
+const DIVE_PERIOD: u64 = 384;
 
 /// One materialised row handed to [`SparseModel::from_rows`].
 type DenseRow = (Vec<(usize, f64)>, CmpOp, f64);
@@ -206,7 +206,7 @@ pub struct SolverConfig {
     /// Node exploration order.
     pub search: SearchOrder,
     /// Simplex pricing rule for every LP solved during the search (node
-    /// relaxations, root cut loop, strong branching, heuristic LPs).
+    /// relaxations, root cut loop, strong branching).
     /// Defaults to [`Pricing::Devex`]; [`Pricing::Dantzig`] is kept as the
     /// differential baseline.
     pub pricing: Pricing,
@@ -647,7 +647,7 @@ impl<'a> BranchAndBound<'a> {
         let occurrence: Vec<usize> = (0..model.num_vars())
             .map(|j| propagator.matrix().occurrences(j))
             .collect();
-        let cut_pool = (config.cuts && model.num_integral() > 0).then(CutPool::new);
+        let cut_pool = (config.cuts && model.num_integral() > 0).then(CutPool::default);
         let num_vars = model.num_vars();
         let root_box = Domains::from_model(model);
         let integral_mask: Vec<bool> = (0..num_vars).map(|j| root_box.is_integral(j)).collect();
@@ -1410,12 +1410,11 @@ impl<'a> BranchAndBound<'a> {
                 }
             }
 
-            // The scheduled heuristic layer: every HEUR_PERIOD nodes one of
-            // the LP-seeded improvement heuristics runs against this node's
-            // relaxation.
-            if stats.nodes.is_multiple_of(HEUR_PERIOD) {
+            // The scheduled heuristic: every DIVE_PERIOD nodes an LP-guided
+            // dive runs against this node's relaxation.
+            if stats.nodes.is_multiple_of(DIVE_PERIOD) {
                 if let Some(lp) = bound.as_ref() {
-                    self.scheduled_heuristics(&node, lp, &mut incumbent, &mut stats, start);
+                    self.scheduled_dive(&node, lp, &mut incumbent, &mut stats, start);
                 }
             }
 
@@ -1642,12 +1641,9 @@ impl<'a> BranchAndBound<'a> {
         });
     }
 
-    /// The node-count-scheduled heuristic layer: rotates deterministically
-    /// through LP-guided diving, the feasibility pump and RINS improvement
-    /// (a pure function of the node counter, so the schedule survives
-    /// snapshot/resume and engine-vs-rebuild comparisons unchanged). A
+    /// The node-count-scheduled LP-guided dive from the node relaxation. A
     /// produced assignment only replaces the incumbent when it improves it.
-    fn scheduled_heuristics(
+    fn scheduled_dive(
         &mut self,
         node: &Node,
         lp: &NodeLp,
@@ -1655,26 +1651,9 @@ impl<'a> BranchAndBound<'a> {
         stats: &mut SolveStats,
         start: Instant,
     ) {
-        let found = match (stats.nodes / HEUR_PERIOD) % 3 {
-            0 => lp_guided_dive(&self.propagator, &node.domains, &lp.values, &self.objective)
-                .map(|values| ("lp-dive", values)),
-            1 => self
-                .feasibility_pump(node, lp, stats)
-                .map(|values| ("pump", values)),
-            _ => incumbent
-                .as_ref()
-                .and_then(|(_, inc)| {
-                    rins_dive(
-                        &self.propagator,
-                        &node.domains,
-                        inc,
-                        &lp.values,
-                        &self.objective,
-                    )
-                })
-                .map(|values| ("rins", values)),
-        };
-        let Some((source, values)) = found else {
+        let Some(values) =
+            lp_guided_dive(&self.propagator, &node.domains, &lp.values, &self.objective)
+        else {
             return;
         };
         if !self.model.is_feasible(&values, 1e-6) {
@@ -1684,67 +1663,8 @@ impl<'a> BranchAndBound<'a> {
         let current = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
         if obj < current - EPS {
             *incumbent = Some((obj, values));
-            self.record_improvement(stats, start, obj, source);
+            self.record_improvement(stats, start, obj, "lp-dive");
         }
-    }
-
-    /// One bounded feasibility-pump run from the node relaxation: alternate
-    /// rounding the current LP point to the nearest integral box point with
-    /// an LP minimising the (binary-variable) L1 distance back to it. The
-    /// pump succeeds when a distance LP lands integral — an LP-feasible
-    /// integral point is a feasible assignment — and gives up on a cycle
-    /// (repeated rounding target; deterministic runs stop rather than
-    /// perturb) or after a fixed number of iterations.
-    fn feasibility_pump(
-        &mut self,
-        node: &Node,
-        lp: &NodeLp,
-        stats: &mut SolveStats,
-    ) -> Option<Vec<f64>> {
-        const PUMP_ITERS: usize = 8;
-        let n = node.domains.len();
-        let mut point = lp.values.clone();
-        let mut last_target: Option<Vec<f64>> = None;
-        for _ in 0..PUMP_ITERS {
-            let target = pump_target(&node.domains, &point);
-            if last_target.as_ref() == Some(&target) {
-                return None;
-            }
-            let mut distance = vec![0.0; n];
-            for (j, coeff) in distance.iter_mut().enumerate() {
-                if self.binary_mask[j] {
-                    *coeff = if target[j] > 0.5 { -1.0 } else { 1.0 };
-                }
-            }
-            let dist_lp = solve_lp_priced(
-                self.propagator.matrix(),
-                &distance,
-                0.0,
-                &node.domains,
-                MAX_LP_PIVOTS,
-                self.config.pricing,
-            );
-            stats.lp_solves += 1;
-            tally_lp(stats, &dist_lp);
-            if dist_lp.status != LpStatus::Optimal {
-                return None;
-            }
-            point = dist_lp.values;
-            let integral = (0..n).all(|j| {
-                !node.domains.is_integral(j) || (point[j] - point[j].round()).abs() <= INT_EPS
-            });
-            if integral {
-                let mut values = point;
-                for (j, v) in values.iter_mut().enumerate() {
-                    if node.domains.is_integral(j) {
-                        *v = v.round();
-                    }
-                }
-                return Some(values);
-            }
-            last_target = Some(target);
-        }
-        None
     }
 
     fn internal_objective(&self, values: &[f64]) -> f64 {
