@@ -37,6 +37,7 @@ fn main() {
     }
     println!(
         "service gate: warm resubmission replays from the cache and the interrupted solve \
-         resumes in strictly fewer nodes than a cold restart."
+         resumes in strictly fewer nodes than a cold restart, from a snapshot within {} bytes.",
+        bist_bench::service::SNAPSHOT_BYTES_BUDGET
     );
 }

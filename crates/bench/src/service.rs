@@ -18,17 +18,25 @@
 //!    strictly below interrupt + cold-restart (N/2 + N) — i.e. resuming
 //!    must beat throwing the frontier away — and its objective must be
 //!    bit-identical to the cold solve's ("the cache changes performance,
-//!    never results").
+//!    never results"). The interrupted solve's snapshot must also serialize
+//!    within [`SNAPSHOT_BYTES_BUDGET`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use advbist::core::engine::SynthesisEngine;
 use advbist::service::{JobService, SolveCache, SynthesisJob};
 use advbist::Budget;
 use bist_dfg::SynthesisInput;
 
 use crate::report::json;
 use crate::workload::sweep_config;
+
+/// Budget on the JSON size of the interrupt-at-N/2 tseng k=1 snapshot. It
+/// carries one basis header per distinct parent basis of the open
+/// frontier, about 63 KB in all; when snapshots serialized the eta files
+/// of cached bases, this one took 1.15 MB.
+pub const SNAPSHOT_BYTES_BUDGET: u64 = 100_000;
 
 /// Aggregate of one service batch (cold or warm phase).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,6 +78,8 @@ pub struct ResumeStats {
     pub interrupt_nodes: u64,
     /// Whether the interrupted job reported a captured snapshot.
     pub snapshot_captured: bool,
+    /// JSON size of the interrupted solve's snapshot.
+    pub snapshot_bytes: u64,
     /// Total node count of the resumed job (continues the interrupted
     /// count, so this is the whole tree as the resumed search saw it).
     pub resumed_total_nodes: u64,
@@ -92,6 +102,7 @@ impl ResumeStats {
             .u64("cold_nodes", self.cold_nodes)
             .u64("interrupt_nodes", self.interrupt_nodes)
             .bool("snapshot_captured", self.snapshot_captured)
+            .u64("snapshot_bytes", self.snapshot_bytes)
             .u64("resumed_total_nodes", self.resumed_total_nodes)
             .u64("cold_restart_total_nodes", self.cold_restart_total_nodes)
             .bool("objective_matches", self.objective_matches)
@@ -159,6 +170,12 @@ impl ServiceBench {
         }
         if !self.resume.snapshot_captured {
             violations.push("interrupted job captured no snapshot".to_string());
+        }
+        if self.resume.snapshot_bytes > SNAPSHOT_BYTES_BUDGET {
+            violations.push(format!(
+                "interrupted snapshot serializes to {} bytes, over the {SNAPSHOT_BYTES_BUDGET} budget",
+                self.resume.snapshot_bytes
+            ));
         }
         if self.resume.resumed_total_nodes >= self.resume.cold_restart_total_nodes {
             violations.push(format!(
@@ -276,6 +293,20 @@ pub fn run(
     );
     let interrupted = service.run();
     completed(&interrupted, "interrupted solve")?;
+    // The job keeps its snapshot in the cache; the same solve through the
+    // engine hands it over for measuring.
+    let mut interrupt_config = exact.clone();
+    interrupt_config.solver.budget = Budget::nodes(interrupt_nodes);
+    interrupt_config.solver.snapshot = true;
+    let snapshot_bytes = SynthesisEngine::new(&resume_input, &interrupt_config)
+        .and_then(|engine| engine.synthesize_resumable(1, None, None))
+        .map_err(|e| format!("interrupted solve: {e}"))?
+        .design
+        .snapshot
+        .ok_or("interrupted solve captured no snapshot")?
+        .to_json()
+        .map_err(|e| e.to_string())?
+        .len() as u64;
 
     let mut service = JobService::new().with_cache(resume_cache.clone());
     service.submit(
@@ -296,6 +327,7 @@ pub fn run(
         cold_nodes,
         interrupt_nodes,
         snapshot_captured: interrupted[0].snapshot_captured,
+        snapshot_bytes,
         resumed_total_nodes: resumed_row.nodes,
         cold_restart_total_nodes: interrupt_nodes + cold_nodes,
         objective_matches: resumed_row.objective.to_bits() == cold_row.objective.to_bits(),
@@ -334,14 +366,15 @@ pub fn render(bench: &ServiceBench) -> String {
     let r = &bench.resume;
     out.push_str(&format!(
         "  resume {} k={}: cold {} nodes | interrupt {} | resumed total {} \
-         (cold restart would be {}) | objective match: {}\n",
+         (cold restart would be {}) | objective match: {} | snapshot {} bytes\n",
         r.circuit,
         r.sessions,
         r.cold_nodes,
         r.interrupt_nodes,
         r.resumed_total_nodes,
         r.cold_restart_total_nodes,
-        r.objective_matches
+        r.objective_matches,
+        r.snapshot_bytes
     ));
     out
 }

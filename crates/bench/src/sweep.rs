@@ -91,6 +91,12 @@ pub struct SweepKRow {
     pub lp_iteration_limited: u64,
     /// LP solves that stalled numerically and yielded no bound.
     pub lp_stalled: u64,
+    /// Node LPs re-solved warm, by the dual simplex from the parent's
+    /// basis.
+    pub warm_lp_solves: u64,
+    /// Node LPs solved cold, by the two-phase primal from the slack basis
+    /// ([`bist_ilp::SolveStats::refactorizations`]).
+    pub cold_node_lps: u64,
 }
 
 impl SweepKRow {
@@ -124,6 +130,8 @@ impl SweepKRow {
             stop: if design.optimal { "proved" } else { "node cap" },
             lp_iteration_limited: design.stats.lp_iteration_limited,
             lp_stalled: design.stats.lp_stalled,
+            warm_lp_solves: design.stats.warm_lp_solves,
+            cold_node_lps: design.stats.refactorizations,
         }
     }
 
@@ -162,6 +170,8 @@ impl SweepKRow {
             .str("stop", self.stop)
             .u64("lp_iteration_limited", self.lp_iteration_limited)
             .u64("lp_stalled", self.lp_stalled)
+            .u64("warm_lp_solves", self.warm_lp_solves)
+            .u64("cold_node_lps", self.cold_node_lps)
             .finish()
     }
 }
@@ -425,7 +435,8 @@ pub fn exactness_violations(sweeps: &[CircuitSweep], node_limit: u64) -> Vec<Str
 /// The per-row fields of `BENCH_sweep.json` that a pure speed-up of the
 /// solver must leave untouched: the answer, its proof, its bound, gap and
 /// stop reason, and the work that produced it (nodes, pivots by pricing
-/// rule, cuts, incumbent source, capped and stalled LPs).
+/// rule, cuts, incumbent source, capped and stalled LPs, warm and cold
+/// node LPs).
 pub const DETERMINISTIC_FIELDS: &[&str] = &[
     "objective",
     "area",
@@ -444,6 +455,8 @@ pub const DETERMINISTIC_FIELDS: &[&str] = &[
     "stop",
     "lp_iteration_limited",
     "lp_stalled",
+    "warm_lp_solves",
+    "cold_node_lps",
 ];
 
 /// The deterministic-work gate: compares the [`DETERMINISTIC_FIELDS`] of

@@ -39,9 +39,9 @@
 //!
 //! **Warm bases and the per-k delta replay.** Since the search-layer
 //! overhaul, every per-k solve re-solves its child-node LPs with the
-//! bounded dual simplex from the parent's cached basis (see
-//! `bist_ilp::simplex::Basis` — since the revised-simplex rebuild that is
-//! a factorized eta file plus column statuses, not a tableau), so the
+//! bounded dual simplex from the parent's basis (see
+//! `bist_ilp::simplex::Basis` — a header of column statuses, factorized
+//! afresh by each warm start, not a tableau), so the
 //! dominant per-node cost inside each solve of the sweep is a handful of
 //! dual pivots instead of a cold two-phase factorization. Bases do *not*
 //! cross `k` boundaries: the per-k BIST delta changes the row set (Eqs.

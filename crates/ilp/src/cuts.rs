@@ -3,7 +3,7 @@
 //! Two families of globally valid cuts join the branch and bound's row set:
 //!
 //! * **Gomory mixed-integer cuts**, read off fractional rows of an optimal
-//!   simplex basis (see [`crate::simplex::gomory_cuts`]),
+//!   simplex basis (see [`crate::simplex`]),
 //! * **conflict no-goods**, learned from infeasibility-refuted subtrees
 //!   ([`nogood_from_fixings`]).
 //!
@@ -31,7 +31,7 @@ pub struct CutRow {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CutKind {
     /// A Gomory mixed-integer cut read off a fractional row of an optimal
-    /// simplex basis (see [`crate::simplex::gomory_cuts`]).
+    /// simplex basis (see [`crate::simplex`]).
     Gomory,
     /// A conflict no-good `Σ_{S⁺} x − Σ_{S⁻} x ≤ |S⁺| − 1` learned from an
     /// infeasibility-refuted subtree with fixings `S⁺` (at 1) and `S⁻`

@@ -1,7 +1,7 @@
 //! A minimal JSON value tree with an exact-integer parser and writer.
 //!
 //! The solve-state snapshots ([`crate::snapshot`]) persist floating-point
-//! search state (bounds, objectives, eta files) across processes and must
+//! search state (bounds, objectives, pseudo-costs) across processes and must
 //! round-trip **bit-exactly** — a bound that moves by one ulp on reload
 //! would change pruning decisions and break the "resume continues the same
 //! tree" contract. Snapshots therefore store every `f64` as its

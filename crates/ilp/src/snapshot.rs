@@ -4,7 +4,7 @@
 //! search needs to *continue the same tree* in another process: the open-node
 //! frontier (as per-node bound deltas against the model box), the incumbent,
 //! the global-bound bookkeeping, the pseudo-cost tables, the accepted cut
-//! pool, and the warm [`Basis`] eta files of the node-basis cache. Snapshots
+//! pool, and the [`Basis`] headers the open nodes warm-start from. Snapshots
 //! are produced by an interrupted or limit-stopped solve when
 //! [`crate::SolverConfig::snapshot`] is on, and consumed by
 //! [`crate::SolverConfig::resume`] / [`crate::SolveSession::resume`].
@@ -79,17 +79,13 @@ pub fn model_fingerprint(model: &Model) -> u64 {
 }
 
 /// Snapshot format version; bumped on any layout change so a stale file
-/// fails loudly instead of deserializing garbage. Version 2 added the
-/// Gomory and no-good cut kinds, the `pending_cuts` batch, the per-node
-/// `ng` (no-good learning allowed) flag and the `eager_separation` schedule
-/// flag; version-1 documents (which cannot contain any of those) still
-/// load, with an empty pending batch and the conservative defaults. A cut
-/// of a retired kind (`cover`, `clique`, `lifted_cover`) in a document of
-/// either version is rejected with an error on its `kind` field.
-pub const FORMAT_VERSION: u64 = 2;
-
-/// Oldest snapshot version the parser still accepts.
-pub const MIN_FORMAT_VERSION: u64 = 1;
+/// fails loudly instead of deserializing garbage. Version 3 stores each
+/// basis as a header (one status per column) in a table the nodes index,
+/// where versions 1 and 2 stored eta files under cache keys; a document of
+/// any other version is rejected with an error naming its `version`. A cut
+/// of a retired kind (`cover`, `clique`, `lifted_cover`) is rejected with
+/// an error on its `kind` field.
+pub const FORMAT_VERSION: u64 = 3;
 
 /// A malformed, inconsistent or incompatible snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,6 +103,13 @@ impl SnapshotError {
 
     pub(crate) fn field(key: &str) -> Self {
         Self::new(format!("missing or mistyped field `{key}`"))
+    }
+
+    /// A document of a format version this build does not read.
+    pub(crate) fn version(version: u64) -> Self {
+        Self::new(format!(
+            "unsupported snapshot `version` {version} (this build reads version {FORMAT_VERSION})"
+        ))
     }
 }
 
@@ -269,6 +272,7 @@ pub(crate) struct SnapshotNode {
     pub(crate) depth: usize,
     pub(crate) bound: f64,
     pub(crate) branched: Option<usize>,
+    /// Index of the parent's basis header in [`SolveSnapshot::bases`].
     pub(crate) parent_basis: Option<u64>,
     pub(crate) parent_bound_is_lp: bool,
     pub(crate) branch_up: bool,
@@ -276,8 +280,7 @@ pub(crate) struct SnapshotNode {
     /// Whether the node's whole decision path consists of binary fixings
     /// untainted by incumbent-dependent (reduced-cost) tightenings — the
     /// eligibility condition for learning a globally valid no-good from an
-    /// infeasibility refutation. Wire key `"ng"`; absent in v1 snapshots,
-    /// which parse as `false` so restored v1 nodes never learn.
+    /// infeasibility refutation. Wire key `"ng"`.
     pub(crate) nogood_ok: bool,
 }
 
@@ -345,7 +348,7 @@ impl SnapshotNode {
             parent_bound_is_lp: get_bool(v, "lp")?,
             branch_up: get_bool(v, "up")?,
             branch_step: get_f64_bits(v, "step")?,
-            nogood_ok: v.get("ng").and_then(Value::as_bool).unwrap_or(false),
+            nogood_ok: get_bool(v, "ng")?,
         })
     }
 }
@@ -406,6 +409,8 @@ pub(crate) struct RootLpSnapshot {
     /// `(up, down)` reduced-cost vectors, when the warm path produced them.
     pub(crate) reduced_costs: Option<(Vec<f64>, Vec<f64>)>,
     pub(crate) pivots: u64,
+    /// Index of the LP's basis header in [`SolveSnapshot::bases`].
+    pub(crate) basis: Option<u64>,
 }
 
 impl RootLpSnapshot {
@@ -428,6 +433,13 @@ impl RootLpSnapshot {
                 },
             ),
             ("pivots".into(), Value::Int(self.pivots)),
+            (
+                "basis".into(),
+                match self.basis {
+                    Some(i) => Value::Int(i),
+                    None => Value::Null,
+                },
+            ),
         ])
     }
 
@@ -452,6 +464,7 @@ impl RootLpSnapshot {
             values: f64s_from(get_array(v, "values")?, "values")?,
             reduced_costs,
             pivots: get_u64(v, "pivots")?,
+            basis: opt_u64(v.get("basis"), "basis")?,
         })
     }
 }
@@ -481,8 +494,7 @@ pub struct SolveSnapshot {
     pub(crate) last_bound_emitted: f64,
     pub(crate) tree_separations_left: usize,
     /// Whether the captured search was separating shallow Gomory rounds
-    /// eagerly (chained warm-started solves). Absent in v1 snapshots, where
-    /// it defaults to `false` — the conservative late-separation schedule.
+    /// eagerly (chained warm-started solves).
     pub(crate) eager_separation: bool,
     /// Accepted cut pool; reinstalled into the row set before the frontier
     /// is restored.
@@ -492,11 +504,10 @@ pub struct SolveSnapshot {
     /// at the same deterministic trigger the uninterrupted run would have.
     pub(crate) pending_cuts: Vec<CutRow>,
     pub(crate) pseudo: PseudoSnapshot,
-    /// Warm basis cache entries as `(cache key, basis)`, oldest first.
-    pub(crate) bases: Vec<(u64, Basis)>,
-    pub(crate) next_basis_key: u64,
+    /// The distinct basis headers the open nodes and the pending root LP
+    /// refer to, each once, in order of first reference.
+    pub(crate) bases: Vec<Basis>,
     pub(crate) root_lp: Option<RootLpSnapshot>,
-    pub(crate) root_basis_key: Option<u64>,
 }
 
 impl SolveSnapshot {
@@ -537,7 +548,7 @@ impl SolveSnapshot {
             .map(|c| 24 + 16 * c.terms.len())
             .sum();
         let pseudo_bytes = 12 * self.pseudo.up_sum.len() + 12 * self.pseudo.down_sum.len();
-        let basis_bytes: usize = self.bases.iter().map(|(_, b)| 16 + 12 * b.cells()).sum();
+        let basis_bytes: usize = self.bases.iter().map(|b| 40 + b.cells()).sum();
         let root_lp_bytes = self.root_lp.as_ref().map_or(0, |lp| {
             8 * lp.values.len()
                 + lp.reduced_costs
@@ -562,6 +573,15 @@ impl SolveSnapshot {
             if node.branched.is_some_and(|j| j >= n) {
                 return Err(SnapshotError::new("branched variable out of range"));
             }
+        }
+        let basis_refs = self.frontier.iter().map(|node| node.parent_basis);
+        let root_ref = self.root_lp.as_ref().map(|lp| lp.basis);
+        if basis_refs
+            .chain(root_ref)
+            .flatten()
+            .any(|i| i >= self.bases.len() as u64)
+        {
+            return Err(SnapshotError::new("basis index out of range"));
         }
         if let Some((_, values)) = &self.incumbent {
             if values.len() != n {
@@ -637,30 +657,12 @@ impl SolveSnapshot {
             ("pseudo".into(), self.pseudo.to_value()),
             (
                 "bases".into(),
-                Value::Array(
-                    self.bases
-                        .iter()
-                        .map(|(key, basis)| {
-                            Value::Object(vec![
-                                ("key".into(), Value::Int(*key)),
-                                ("basis".into(), basis.snapshot_value()),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Value::Array(self.bases.iter().map(Basis::snapshot_value).collect()),
             ),
-            ("next_basis_key".into(), Value::Int(self.next_basis_key)),
             (
                 "root_lp".into(),
                 match &self.root_lp {
                     Some(lp) => lp.to_value(),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "root_basis_key".into(),
-                match self.root_basis_key {
-                    Some(k) => Value::Int(k),
                     None => Value::Null,
                 },
             ),
@@ -672,15 +674,14 @@ impl SolveSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] on malformed JSON, an unknown format
-    /// version, or an internally inconsistent document.
+    /// Returns a [`SnapshotError`] on malformed JSON, a format version
+    /// other than [`FORMAT_VERSION`], or an internally inconsistent
+    /// document.
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
         let doc = Value::parse(text).map_err(|e| SnapshotError::new(e.to_string()))?;
         let version = get_u64(&doc, "version")?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(SnapshotError::new(format!(
-                "unsupported snapshot version {version} (expected {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
-            )));
+        if version != FORMAT_VERSION {
+            return Err(SnapshotError::version(version));
         }
         let search = match doc.get("search").and_then(Value::as_str) {
             Some("depth_first") => SearchOrder::DepthFirst,
@@ -700,25 +701,11 @@ impl SolveSnapshot {
             .map(SnapshotNode::from_value)
             .collect::<Result<Vec<_>, _>>()?;
         let cuts = cuts_from(get_array(&doc, "cuts")?)?;
-        // Version 1 predates the pending batch: absent means empty.
-        let pending_cuts = match doc.get("pending_cuts") {
-            Some(value) => cuts_from(
-                value
-                    .as_array()
-                    .ok_or_else(|| SnapshotError::field("pending_cuts"))?,
-            )?,
-            None => Vec::new(),
-        };
-        let mut bases = Vec::new();
-        for entry in get_array(&doc, "bases")? {
-            let key = get_u64(entry, "key")?;
-            let basis = Basis::from_snapshot_value(
-                entry
-                    .get("basis")
-                    .ok_or_else(|| SnapshotError::field("basis"))?,
-            )?;
-            bases.push((key, basis));
-        }
+        let pending_cuts = cuts_from(get_array(&doc, "pending_cuts")?)?;
+        let bases = get_array(&doc, "bases")?
+            .iter()
+            .map(Basis::from_snapshot_value)
+            .collect::<Result<Vec<_>, _>>()?;
         let root_lp = match doc.get("root_lp") {
             Some(Value::Null) => None,
             Some(obj) => Some(RootLpSnapshot::from_value(obj)?),
@@ -735,9 +722,7 @@ impl SolveSnapshot {
             pruned_bound_min: get_f64_bits(&doc, "pruned_bound_min")?,
             last_bound_emitted: get_f64_bits(&doc, "last_bound_emitted")?,
             tree_separations_left: get_usize(&doc, "tree_separations_left")?,
-            // Version 1 predates the eager flag: absent means the
-            // conservative late-separation schedule.
-            eager_separation: matches!(doc.get("eager_separation"), Some(Value::Bool(true))),
+            eager_separation: get_bool(&doc, "eager_separation")?,
             cuts,
             pending_cuts,
             pseudo: PseudoSnapshot::from_value(
@@ -745,9 +730,7 @@ impl SolveSnapshot {
                     .ok_or_else(|| SnapshotError::field("pseudo"))?,
             )?,
             bases,
-            next_basis_key: get_u64(&doc, "next_basis_key")?,
             root_lp,
-            root_basis_key: opt_u64(doc.get("root_basis_key"), "root_basis_key")?,
         };
         snapshot.validate()?;
         Ok(snapshot)
@@ -757,6 +740,14 @@ impl SolveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A header over 3 variables and 2 rows: columns 0 and 4 basic.
+    fn sample_basis() -> Basis {
+        let value =
+            Value::parse(r#"{"status":"BLULB","rows":2,"vars":3,"fingerprint":3735928559}"#)
+                .unwrap();
+        Basis::from_snapshot_value(&value).unwrap()
+    }
 
     fn sample() -> SolveSnapshot {
         SolveSnapshot {
@@ -770,7 +761,7 @@ mod tests {
                     depth: 2,
                     bound: -12.25,
                     branched: Some(0),
-                    parent_basis: Some(4),
+                    parent_basis: Some(0),
                     parent_bound_is_lp: true,
                     branch_up: true,
                     branch_step: 0.375,
@@ -824,15 +815,14 @@ mod tests {
                 global_sum: [0.3, 2.6],
                 global_cnt: [1, 3],
             },
-            bases: Vec::new(),
-            next_basis_key: 5,
+            bases: vec![sample_basis()],
             root_lp: Some(RootLpSnapshot {
                 objective: -15.5,
                 values: vec![0.5, 0.5, 1.0],
                 reduced_costs: Some((vec![0.0, 0.1, 0.0], vec![0.2, 0.0, 0.0])),
                 pivots: 42,
+                basis: Some(0),
             }),
-            root_basis_key: None,
         }
     }
 
@@ -856,9 +846,9 @@ mod tests {
     fn version_and_shape_mismatches_are_loud() {
         let snap = sample();
         let text = snap.to_json().unwrap();
-        let wrong_version = text.replacen("\"version\":2", "\"version\":99", 1);
+        let wrong_version = text.replacen("\"version\":3", "\"version\":99", 1);
         let err = SolveSnapshot::from_json(&wrong_version).unwrap_err();
-        assert!(err.to_string().contains("version 99"), "{err}");
+        assert!(err.to_string().contains("`version` 99"), "{err}");
         assert!(SolveSnapshot::from_json("{}").is_err());
         assert!(SolveSnapshot::from_json("not json").is_err());
     }
@@ -875,6 +865,42 @@ mod tests {
                 "{retired}"
             );
         }
+    }
+
+    #[test]
+    fn eta_file_versions_are_rejected_on_version() {
+        // Versions 1 and 2 stored eta files under cache keys; their bases
+        // cannot be read as headers, so the whole document is refused.
+        let text = sample().to_json().unwrap();
+        assert!(text.contains("\"version\":3"));
+        for old in [1, 2] {
+            let stale = text.replacen("\"version\":3", &format!("\"version\":{old}"), 1);
+            assert_eq!(
+                SolveSnapshot::from_json(&stale).unwrap_err(),
+                SnapshotError::version(old)
+            );
+        }
+    }
+
+    #[test]
+    fn basis_headers_round_trip_and_bad_references_are_refused() {
+        let text = sample().to_json().unwrap();
+        assert!(text.contains("\"status\":\"BLULB\""), "{text}");
+        let back = SolveSnapshot::from_json(&text).unwrap();
+        assert_eq!(back.bases, sample().bases);
+        // A header whose basic count disagrees with its rows, or a node
+        // pointing past the table, is refused at the boundary.
+        let bad_status = text.replacen("BLULB", "BLULL", 1);
+        assert!(SolveSnapshot::from_json(&bad_status).is_err());
+        let bad_letter = text.replacen("BLULB", "BLUXB", 1);
+        assert_eq!(
+            SolveSnapshot::from_json(&bad_letter).unwrap_err(),
+            SnapshotError::field("status")
+        );
+        let mut snap = sample();
+        snap.frontier[0].parent_basis = Some(1);
+        let err = snap.to_json().unwrap_err();
+        assert!(err.to_string().contains("basis index"), "{err}");
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub struct SolveStats {
     /// lp_pivots`.
     pub lp_primal_pivots: u64,
     /// Simplex iterations spent in the *dual* simplex (warm re-solves from
-    /// a cached basis, including strong-branching probes).
+    /// a parent's basis header, including strong-branching probes).
     pub lp_dual_pivots: u64,
     /// Simplex iterations priced by the devex reference framework.
     /// `devex_pivots + dantzig_pivots + bland_pivots == lp_pivots`.
@@ -124,9 +124,10 @@ pub struct SolveStats {
     /// crossing their box without a basis change (rank-0 updates — the
     /// implicit-bound replacement for the old kernel's bound-row pivots).
     pub lp_bound_flips: u64,
-    /// Basis refactorizations performed inside the LP kernel (periodic
-    /// eta-file collapses), distinct from [`SolveStats::refactorizations`],
-    /// which counts node-level cold factorisations.
+    /// Basis refactorizations performed inside the LP kernel: periodic
+    /// eta-file collapses plus the factorization every warm re-solve starts
+    /// from. Distinct from [`SolveStats::refactorizations`], which counts
+    /// node LPs solved cold.
     pub lp_basis_refactorizations: u64,
     /// LP solves that hit their pivot budget
     /// ([`crate::LpStatus::IterationLimit`]) and so proved nothing: a warm
@@ -144,13 +145,17 @@ pub struct SolveStats {
     /// Strong-branching probes and leaf completion LPs are not node
     /// relaxations and are excluded.
     pub node_lp_pivots: Vec<u64>,
-    /// Node LPs re-solved with the dual simplex from a cached parent basis.
+    /// Node LPs re-solved with the dual simplex from the parent's basis
+    /// header.
     pub warm_lp_solves: u64,
     /// Simplex iterations spent inside warm (dual-simplex) re-solves.
     pub warm_lp_pivots: u64,
-    /// Cold factorisations at nodes where the solver *wanted* a warm start
-    /// (basis evicted, stale, aged out, over the warm pivot budget, or the
-    /// root). Kernel-internal eta-file collapses are counted separately in
+    /// Node LPs solved cold, by the two-phase primal from the slack basis:
+    /// the root when the cut loop left no LP for it, a node whose parent
+    /// had no optimal LP, a node whose parent's basis no longer fits the
+    /// row set (a cut install since), and a warm re-solve that failed (over
+    /// its pivot budget, stalled, or a singular header). Kernel-internal
+    /// factorizations are counted separately in
     /// [`SolveStats::lp_basis_refactorizations`].
     pub refactorizations: u64,
     /// Strong-branching child LPs solved to initialise pseudo-costs.

@@ -10,11 +10,10 @@
 //!
 //! The search layer on top of that skeleton:
 //!
-//! * **Warm-started node LPs** — each LP node's optimal [`Basis`] is cached
-//!   (bounded to the most recent nodes: the active DFS spine, or the top of
-//!   the best-first heap) and children re-solve with the dual simplex from
-//!   it instead of running two-phase primal from scratch; chains
-//!   re-factorise cold after a bounded number of re-solves.
+//! * **Warm-started node LPs** — each open node holds its parent's optimal
+//!   [`Basis`] header (shared with its sibling) for exactly as long as it
+//!   stays open, and re-solves with the dual simplex from a fresh
+//!   factorization of it instead of running two-phase primal from scratch.
 //! * **Pseudo-cost / reliability branching** with strong-branching
 //!   initialisation at shallow depth, learning per-variable dual-bound
 //!   degradations from every branching; nodes without an LP point branch
@@ -36,8 +35,8 @@ use crate::model::{CmpOp, Model, Sense};
 use crate::propagate::{Domains, PropagationResult, Propagator};
 use crate::session::{Budget, CancelToken, SolveEvent};
 use crate::simplex::{
-    gomory_cuts, instance_fingerprint, resolve_with_basis_priced, solve_lp_basis_priced,
-    solve_lp_priced, Basis, LpSolution, LpStatus, Pricing, ReducedCosts,
+    factorize, gomory_cuts, instance_fingerprint, resolve, solve_cold, solve_lp_priced, Basis,
+    Factored, LpSolution, LpStatus, Pricing, ReducedCosts,
 };
 use crate::snapshot::{PseudoSnapshot, RootLpSnapshot, SnapshotNode, SolveSnapshot};
 use crate::solution::{Solution, SolveStats, Status};
@@ -55,16 +54,6 @@ const TREE_SEPARATIONS: usize = 6;
 /// In-tree separation budget for eager (chained warm-started) solves: the
 /// anchoring incumbent makes extra shallow rounds pay for themselves.
 const TREE_SEPARATIONS_EAGER: usize = 12;
-/// Capacity of the node-basis cache. Bases are only kept for the most
-/// recently solved LP nodes — with depth-first search that is the active
-/// DFS spine (a child is popped right after its parent), with best-first it
-/// is the top of the heap. A revised-simplex [`Basis`] is only statuses
-/// plus an eta file, so the cap is about keeping lookups cheap, not memory.
-const BASIS_CACHE_CAP: usize = 6;
-/// Maximum dual-simplex re-solves chained off one cold factorisation
-/// before the node re-factorises (cold-solves) to flush the eta file's
-/// accumulated rounding error.
-const BASIS_MAX_AGE: u32 = 24;
 /// Maximum node depth at which uninitialised pseudo-costs are seeded by
 /// strong branching (reliability branching); deeper nodes rely on the
 /// observations already gathered.
@@ -107,7 +96,7 @@ const GOMORY_MIN_EFFICACY: f64 = 1e-2;
 /// the model excludes a vanishing fraction of the search space.
 const NOGOOD_MAX_TERMS: usize = 24;
 /// Learned no-goods are batched and installed together once this many are
-/// pending, so one matrix rebuild (which invalidates every cached basis)
+/// pending, so one matrix rebuild (which invalidates every stored basis)
 /// amortises over several conflicts.
 const NOGOOD_FLUSH: usize = 8;
 /// Node-count period of the scheduled LP-guided dive. The schedule is a
@@ -243,8 +232,8 @@ pub struct SolverConfig {
     pub eager_tree_cuts: bool,
     /// Capture a resumable [`SolveSnapshot`] of the open tree whenever the
     /// search stops early (cancellation, node budget, time budget or
-    /// deadline). Off by default: capture clones the open frontier, the
-    /// basis cache and the pseudo-cost tables, so plain solves should not
+    /// deadline). Off by default: capture clones the open frontier with its
+    /// basis headers and the pseudo-cost tables, so plain solves should not
     /// pay for it. When a snapshot was captured it travels on the returned
     /// [`Solution`] (see [`Solution::snapshot`]).
     pub snapshot: bool,
@@ -300,9 +289,10 @@ struct Node {
     /// parent's domains were at a propagation fixpoint, so the child's
     /// propagation can be seeded with just this variable's rows.
     branched: Option<usize>,
-    /// Cache key of the parent's optimal LP basis, if it was stored; the
-    /// child's LP re-solves from it with the dual simplex on a cache hit.
-    parent_basis: Option<u64>,
+    /// The parent's optimal LP basis header, shared with the sibling; the
+    /// child's LP re-solves from it with the dual simplex while it still
+    /// fits the row set.
+    parent_basis: Option<Rc<Basis>>,
     /// Whether the inherited `bound` came from an LP relaxation (pseudo-cost
     /// updates only compare LP bounds with LP bounds).
     parent_bound_is_lp: bool,
@@ -397,10 +387,29 @@ impl Frontier {
     }
 }
 
-/// Serializes an open node as bound deltas against the model's root box.
-/// Bit-pattern comparison (not `==`) so a signed-zero tightening still
-/// round-trips exactly.
-fn snapshot_node(node: &Node, base: &Domains) -> SnapshotNode {
+/// The snapshot's basis table under construction: one entry per distinct
+/// `Rc`, in order of first reference.
+#[derive(Default)]
+struct BasisTable(Vec<Rc<Basis>>);
+
+impl BasisTable {
+    /// Table index of `basis`, adding it on its first reference.
+    fn index(&mut self, basis: &Rc<Basis>) -> u64 {
+        let slot = match self.0.iter().position(|b| Rc::ptr_eq(b, basis)) {
+            Some(slot) => slot,
+            None => {
+                self.0.push(Rc::clone(basis));
+                self.0.len() - 1
+            }
+        };
+        slot as u64
+    }
+}
+
+/// Serializes an open node as bound deltas against the model's root box,
+/// its parent basis as an index into `bases`. Bit-pattern comparison (not
+/// `==`) so a signed-zero tightening still round-trips exactly.
+fn snapshot_node(node: &Node, base: &Domains, bases: &mut BasisTable) -> SnapshotNode {
     let deltas = (0..base.len())
         .filter_map(|j| {
             let (lo, hi) = (node.domains.lower(j), node.domains.upper(j));
@@ -413,7 +422,7 @@ fn snapshot_node(node: &Node, base: &Domains) -> SnapshotNode {
         depth: node.depth,
         bound: node.bound,
         branched: node.branched,
-        parent_basis: node.parent_basis,
+        parent_basis: node.parent_basis.as_ref().map(|b| bases.index(b)),
         parent_bound_is_lp: node.parent_bound_is_lp,
         branch_up: node.branch_up,
         branch_step: node.branch_step,
@@ -421,10 +430,11 @@ fn snapshot_node(node: &Node, base: &Domains) -> SnapshotNode {
     }
 }
 
-/// Rebuilds an open node from its serialized bound deltas. Bounds are
+/// Rebuilds an open node from its serialized bound deltas and basis index
+/// (validated against `bases` when the snapshot was read). Bounds are
 /// restored verbatim (no re-tightening), so the resumed node's domains are
 /// bit-identical to the captured ones.
-fn restore_node(snap: &SnapshotNode, base: &Domains) -> Node {
+fn restore_node(snap: &SnapshotNode, base: &Domains, bases: &[Rc<Basis>]) -> Node {
     let mut domains = base.clone();
     for &(j, lo, hi) in &snap.deltas {
         domains.restore_bounds(j, lo, hi);
@@ -434,7 +444,7 @@ fn restore_node(snap: &SnapshotNode, base: &Domains) -> Node {
         depth: snap.depth,
         bound: snap.bound,
         branched: snap.branched,
-        parent_basis: snap.parent_basis,
+        parent_basis: snap.parent_basis.map(|i| Rc::clone(&bases[i as usize])),
         parent_bound_is_lp: snap.parent_bound_is_lp,
         branch_up: snap.branch_up,
         branch_step: snap.branch_step,
@@ -538,6 +548,11 @@ struct CachedRootLp {
     values: Vec<f64>,
     reduced_costs: Option<ReducedCosts>,
     pivots: u64,
+    /// The LP's optimal basis header. Like every stored basis it crosses
+    /// to the root node (and through a snapshot taken before the root
+    /// pops) as a header only, and the root node factorizes it on use, so
+    /// a live and a resumed run separate from the same bits.
+    basis: Option<Rc<Basis>>,
 }
 
 /// The branch-and-bound engine. Construct with [`BranchAndBound::new`] and
@@ -591,16 +606,6 @@ pub struct BranchAndBound<'a> {
     /// matrix; the root node consumes it instead of re-solving the most
     /// expensive LP of the tree.
     root_lp_cache: Option<CachedRootLp>,
-    /// Basis stored by the root cut loop for the root node to hand to its
-    /// children.
-    root_basis_key: Option<u64>,
-    /// Recently stored node bases (statuses + eta files), oldest first;
-    /// capacity-bounded to keep lookups cheap. Cleared whenever the cut
-    /// pool rebuilds the matrix (a basis is only valid for the exact row
-    /// set it was factorized from, and the fingerprint check would reject
-    /// stale entries anyway).
-    basis_cache: Vec<(u64, Rc<Basis>)>,
-    next_basis_key: u64,
     /// Pseudo-cost state of the branching rule.
     pseudo: PseudoCosts,
     /// Live event sink (see [`SolveEvent`]); `None` when nobody listens.
@@ -681,9 +686,6 @@ impl<'a> BranchAndBound<'a> {
             integral_objective,
             binary_mask,
             root_lp_cache: None,
-            root_basis_key: None,
-            basis_cache: Vec::new(),
-            next_basis_key: 0,
             pseudo: PseudoCosts::new(num_vars),
             events: None,
             last_bound_emitted: f64::NEG_INFINITY,
@@ -727,50 +729,29 @@ impl<'a> BranchAndBound<'a> {
             .is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Looks up a stored basis by its cache key.
-    fn cached_basis(&self, key: u64) -> Option<Rc<Basis>> {
-        self.basis_cache
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, basis)| Rc::clone(basis))
-    }
-
-    /// Stores a basis, evicting the oldest entry once at capacity, and
-    /// returns its cache key.
-    fn store_basis(&mut self, basis: Basis) -> u64 {
-        let key = self.next_basis_key;
-        self.next_basis_key += 1;
-        if self.basis_cache.len() >= BASIS_CACHE_CAP {
-            self.basis_cache.remove(0);
-        }
-        self.basis_cache.push((key, Rc::new(basis)));
-        key
-    }
-
     /// Rebuilds the shared sparse matrix from the model rows plus every
     /// accepted cut, and refreshes the occurrence counts the branching rules
-    /// read. Called whenever the cut pool grows.
+    /// read. Called whenever the cut pool grows. Every stored basis header
+    /// belongs to the old row set: its fingerprint no longer fits, so the
+    /// nodes holding one solve cold.
     fn rebuild_matrix(&mut self) {
         self.propagator =
             Propagator::from_matrix(row_matrix(self.model, &self.symmetry_rows, &self.cut_rows));
         for (j, slot) in self.occurrence.iter_mut().enumerate() {
             *slot = self.propagator.matrix().occurrences(j);
         }
-        // Every stored basis was factorised from the old row set; nodes
-        // still pointing at one will miss and re-factorise cold.
-        self.basis_cache.clear();
-        self.root_basis_key = None;
     }
 
-    /// Reads Gomory mixed-integer cuts off the fractional rows of `basis`,
-    /// installs the ones the LP point violates and re-propagates `domains`.
+    /// Reads Gomory mixed-integer cuts off the fractional rows of `basis`
+    /// (through the factorization its solve finished with), installs the
+    /// ones the LP point violates and re-propagates `domains`.
     /// Cuts are unshifted to the *root* box (not the node's), so they are
     /// valid for the whole tree even when derived at a branched node.
     /// Returns `None` when nothing was installed, `Some(feasible)`
     /// otherwise (`false` when the tightened row set proves the box empty).
     fn install_gomory(
         &mut self,
-        basis: &Basis,
+        basis: &Factored,
         lp_values: &[f64],
         domains: &mut Domains,
         stats: &mut SolveStats,
@@ -902,12 +883,13 @@ impl<'a> BranchAndBound<'a> {
             if self.is_cancelled() || self.config.budget.time_expired(start) {
                 return true;
             }
-            let (lp, basis) = solve_lp_basis_priced(
+            let (lp, basis) = solve_cold(
                 self.propagator.matrix(),
                 &self.objective,
                 self.objective_constant,
                 domains,
                 MAX_LP_PIVOTS,
+                true,
                 self.config.pricing,
             );
             stats.lp_solves += 1;
@@ -942,16 +924,16 @@ impl<'a> BranchAndBound<'a> {
         true
     }
 
-    /// Records the cut loop's final LP (and its basis, when available) for
-    /// the root node to consume.
-    fn cache_root_lp(&mut self, lp: crate::simplex::LpSolution, basis: Option<Basis>) {
+    /// Records the cut loop's final LP (and its basis header, when
+    /// available) for the root node to consume.
+    fn cache_root_lp(&mut self, lp: LpSolution, basis: Option<Factored>) {
         self.root_lp_cache = Some(CachedRootLp {
             objective: lp.objective,
             values: lp.values,
             reduced_costs: lp.reduced_costs,
             pivots: lp.pivots,
+            basis: basis.map(|b| Rc::new(b.into_header())),
         });
-        self.root_basis_key = basis.map(|b| self.store_basis(b));
     }
 
     /// If `values` is integral over the box, round it, check feasibility and
@@ -1149,9 +1131,9 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Resumes a snapshotted search: checks the snapshot belongs to this
-    /// exact instance, reinstalls the serialized cut pool, pseudo-cost
-    /// tables and warm basis cache, rebuilds the open frontier from the
-    /// per-node bound deltas, and re-enters the main loop. Root
+    /// exact instance, reinstalls the serialized cut pool and pseudo-cost
+    /// tables, rebuilds the open frontier from the per-node bound deltas
+    /// and basis headers, and re-enters the main loop. Root
     /// preprocessing (warm candidates, dive, root cut loop) is skipped on
     /// purpose — the restored state already reflects it.
     fn run_resumed(
@@ -1199,13 +1181,7 @@ impl<'a> BranchAndBound<'a> {
         self.eager_separation = snap.eager_separation;
         self.last_bound_emitted = snap.last_bound_emitted;
         self.pseudo = PseudoCosts::from_snapshot(&snap.pseudo);
-        self.basis_cache = snap
-            .bases
-            .iter()
-            .map(|(key, basis)| (*key, Rc::new(basis.clone())))
-            .collect();
-        self.next_basis_key = snap.next_basis_key;
-        self.root_basis_key = snap.root_basis_key;
+        let bases: Vec<Rc<Basis>> = snap.bases.iter().cloned().map(Rc::new).collect();
         self.root_lp_cache = snap.root_lp.as_ref().map(|lp| CachedRootLp {
             objective: lp.objective,
             values: lp.values.clone(),
@@ -1214,12 +1190,13 @@ impl<'a> BranchAndBound<'a> {
                 down: down.clone(),
             }),
             pivots: lp.pivots,
+            basis: lp.basis.map(|i| Rc::clone(&bases[i as usize])),
         });
 
         let base = Domains::from_model(self.model);
         let mut frontier = Frontier::new(self.config.search);
         for node in &snap.frontier {
-            frontier.push(restore_node(node, &base));
+            frontier.push(restore_node(node, &base, &bases));
         }
         // The node counter continues from the capture point, so node
         // budgets keep their whole-tree meaning across interrupts.
@@ -1395,13 +1372,9 @@ impl<'a> BranchAndBound<'a> {
                 if let Some(lp) = bound.as_ref() {
                     self.tree_separations_left -= 1;
                     if shallow {
-                        if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
-                            if self.install_gomory(
-                                &basis,
-                                &lp.values,
-                                &mut node.domains,
-                                &mut stats,
-                            ) == Some(false)
+                        if let Some(basis) = &lp.basis {
+                            if self.install_gomory(basis, &lp.values, &mut node.domains, &mut stats)
+                                == Some(false)
                             {
                                 continue;
                             }
@@ -1435,7 +1408,7 @@ impl<'a> BranchAndBound<'a> {
             let Some(j) = branch_var else {
                 continue;
             };
-            self.push_children(&mut frontier, &node, j, bound.as_ref());
+            self.push_children(&mut frontier, &node, j, bound);
         }
 
         if !frontier.is_empty() && !interrupted {
@@ -1532,16 +1505,28 @@ impl<'a> BranchAndBound<'a> {
         pruned_bound_min: f64,
     ) -> SolveSnapshot {
         let base = Domains::from_model(self.model);
+        let mut bases = BasisTable::default();
+        let frontier = frontier
+            .into_nodes()
+            .iter()
+            .map(|node| snapshot_node(node, &base, &mut bases))
+            .collect();
+        let root_lp = self.root_lp_cache.as_ref().map(|lp| RootLpSnapshot {
+            objective: lp.objective,
+            values: lp.values.clone(),
+            reduced_costs: lp
+                .reduced_costs
+                .as_ref()
+                .map(|rc| (rc.up.clone(), rc.down.clone())),
+            pivots: lp.pivots,
+            basis: lp.basis.as_ref().map(|b| bases.index(b)),
+        });
         SolveSnapshot {
             fingerprint: self.base_fingerprint,
             num_vars: self.model.num_vars(),
             search: self.config.search,
             nodes,
-            frontier: frontier
-                .into_nodes()
-                .iter()
-                .map(|node| snapshot_node(node, &base))
-                .collect(),
+            frontier,
             incumbent: incumbent.clone(),
             root_bound,
             pruned_bound_min,
@@ -1551,22 +1536,8 @@ impl<'a> BranchAndBound<'a> {
             cuts: self.cut_rows.clone(),
             pending_cuts: self.pending_cuts.clone(),
             pseudo: self.pseudo.to_snapshot(),
-            bases: self
-                .basis_cache
-                .iter()
-                .map(|(key, basis)| (*key, (**basis).clone()))
-                .collect(),
-            next_basis_key: self.next_basis_key,
-            root_lp: self.root_lp_cache.as_ref().map(|lp| RootLpSnapshot {
-                objective: lp.objective,
-                values: lp.values.clone(),
-                reduced_costs: lp
-                    .reduced_costs
-                    .as_ref()
-                    .map(|rc| (rc.up.clone(), rc.down.clone())),
-                pivots: lp.pivots,
-            }),
-            root_basis_key: self.root_basis_key,
+            bases: bases.0.iter().map(|b| (**b).clone()).collect(),
+            root_lp,
         }
     }
 
@@ -1746,14 +1717,23 @@ impl<'a> BranchAndBound<'a> {
         } else {
             None
         };
-        let (lp_objective, lp_values, lp_rc, basis_key) = match cached {
+        let (lp_objective, lp_values, lp_rc, basis) = match cached {
             Some(root) => {
                 stats.node_lp_pivots.push(root.pivots);
+                let basis = root.basis.and_then(|header| {
+                    factorize(
+                        self.propagator.matrix(),
+                        &self.objective,
+                        self.objective_constant,
+                        &header,
+                        &node.domains,
+                    )
+                });
                 (
                     root.objective,
                     root.values,
                     root.reduced_costs,
-                    self.root_basis_key.take(),
+                    basis.map(Box::new),
                 )
             }
             None => match self.solve_node_lp(node, stats) {
@@ -1768,8 +1748,8 @@ impl<'a> BranchAndBound<'a> {
                     objective,
                     values,
                     reduced_costs,
-                    basis_key,
-                } => (objective, values, reduced_costs, basis_key),
+                    basis,
+                } => (objective, values, reduced_costs, basis),
             },
         };
         // If the relaxation happens to be integral it is a feasible MILP
@@ -1818,14 +1798,14 @@ impl<'a> BranchAndBound<'a> {
                 objective: lp_objective,
                 values: lp_values,
                 reduced_costs: lp_rc,
-                basis_key,
+                basis,
             }),
         }
     }
 
     /// Solves the LP relaxation of a node, warm-starting from the parent's
-    /// cached basis with the dual simplex when possible and falling back to
-    /// a cold (re)factorisation otherwise.
+    /// basis header with the dual simplex when it still fits the row set
+    /// and falling back to a cold two-phase solve otherwise.
     fn solve_node_lp(&mut self, node: &Node, stats: &mut SolveStats) -> SolvedNodeLp {
         // A dual re-solve is only worth it while it stays *incremental*: a
         // child whose propagation/fixing moved half the bounds is re-solving
@@ -1833,49 +1813,47 @@ impl<'a> BranchAndBound<'a> {
         // path at a small multiple of the expected incremental work and let
         // an overrun fall through to the cold factorization below.
         let warm_budget = MAX_LP_PIVOTS.min(128 + self.propagator.matrix().num_rows() as u64 / 4);
-        if let Some(basis) = node.parent_basis.and_then(|key| self.cached_basis(key)) {
-            if basis.age() < BASIS_MAX_AGE {
-                if let Some((lp, next)) = resolve_with_basis_priced(
-                    self.propagator.matrix(),
-                    &self.objective,
-                    self.objective_constant,
-                    &basis,
-                    &node.domains,
-                    warm_budget,
-                    self.config.pricing,
-                ) {
-                    tally_lp(stats, &lp);
-                    stats.warm_lp_pivots += lp.pivots;
-                    match lp.status {
-                        LpStatus::Infeasible | LpStatus::Optimal => {
-                            stats.lp_solves += 1;
-                            stats.warm_lp_solves += 1;
-                            stats.node_lp_pivots.push(lp.pivots);
-                            if lp.status == LpStatus::Infeasible {
-                                return SolvedNodeLp::Infeasible;
-                            }
-                            let basis_key = next.map(|b| self.store_basis(b));
-                            return SolvedNodeLp::Optimal {
-                                objective: lp.objective,
-                                values: lp.values,
-                                reduced_costs: lp.reduced_costs,
-                                basis_key,
-                            };
+        if let Some(basis) = &node.parent_basis {
+            if let Some((lp, next)) = resolve(
+                self.propagator.matrix(),
+                &self.objective,
+                self.objective_constant,
+                basis,
+                &node.domains,
+                warm_budget,
+                self.config.pricing,
+            ) {
+                tally_lp(stats, &lp);
+                stats.warm_lp_pivots += lp.pivots;
+                match lp.status {
+                    LpStatus::Infeasible | LpStatus::Optimal => {
+                        stats.lp_solves += 1;
+                        stats.warm_lp_solves += 1;
+                        stats.node_lp_pivots.push(lp.pivots);
+                        if lp.status == LpStatus::Infeasible {
+                            return SolvedNodeLp::Infeasible;
                         }
-                        // A dual re-solve that hits its pivot budget or
-                        // stalls is abandoned (its pivots were counted above); the
-                        // node re-factorises cold below.
-                        LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::Stalled => {}
+                        return SolvedNodeLp::Optimal {
+                            objective: lp.objective,
+                            values: lp.values,
+                            reduced_costs: lp.reduced_costs,
+                            basis: next.map(Box::new),
+                        };
                     }
+                    // A dual re-solve that hits its pivot budget or
+                    // stalls is abandoned (its pivots were counted above); the
+                    // node re-factorises cold below.
+                    LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::Stalled => {}
                 }
             }
         }
-        let (lp, new_basis) = solve_lp_basis_priced(
+        let (lp, basis) = solve_cold(
             self.propagator.matrix(),
             &self.objective,
             self.objective_constant,
             &node.domains,
             MAX_LP_PIVOTS,
+            true,
             self.config.pricing,
         );
         stats.lp_solves += 1;
@@ -1884,15 +1862,12 @@ impl<'a> BranchAndBound<'a> {
         stats.node_lp_pivots.push(lp.pivots);
         match lp.status {
             LpStatus::Infeasible => SolvedNodeLp::Infeasible,
-            LpStatus::Optimal => {
-                let basis_key = new_basis.map(|b| self.store_basis(b));
-                SolvedNodeLp::Optimal {
-                    objective: lp.objective,
-                    values: lp.values,
-                    reduced_costs: lp.reduced_costs,
-                    basis_key,
-                }
-            }
+            LpStatus::Optimal => SolvedNodeLp::Optimal {
+                objective: lp.objective,
+                values: lp.values,
+                reduced_costs: lp.reduced_costs,
+                basis: basis.map(Box::new),
+            },
             LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::Stalled => {
                 SolvedNodeLp::NoBound
             }
@@ -1968,7 +1943,7 @@ impl<'a> BranchAndBound<'a> {
         // unobserved fractional candidates by strong branching (both child
         // LPs, warm from this node's basis).
         if node.depth <= STRONG_DEPTH {
-            if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
+            if let Some(basis) = &lp.basis {
                 let mut unreliable: Vec<usize> = fractional
                     .iter()
                     .map(|&(j, _)| j)
@@ -1977,7 +1952,7 @@ impl<'a> BranchAndBound<'a> {
                 unreliable.sort_by_key(|&j| (usize::MAX - self.occurrence[j], j));
                 unreliable.truncate(STRONG_CANDIDATES);
                 for j in unreliable {
-                    self.strong_branch(&basis, &node.domains, j, lp, stats);
+                    self.strong_branch(&basis.header, &node.domains, j, lp, stats);
                 }
             }
         }
@@ -2021,7 +1996,7 @@ impl<'a> BranchAndBound<'a> {
             if !tightened || child.is_infeasible() {
                 continue;
             }
-            let Some((child_lp, _)) = resolve_with_basis_priced(
+            let Some((child_lp, _)) = resolve(
                 self.propagator.matrix(),
                 &self.objective,
                 self.objective_constant,
@@ -2051,13 +2026,17 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    fn push_children(&self, frontier: &mut Frontier, node: &Node, j: usize, lp: Option<&NodeLp>) {
+    /// Pushes the two children of branching on `j`; they share the node
+    /// LP's basis header.
+    fn push_children(&self, frontier: &mut Frontier, node: &Node, j: usize, lp: Option<NodeLp>) {
         let lower = node.domains.lower(j);
         let upper = node.domains.upper(j);
         debug_assert!(upper > lower + EPS);
-        let lp_values = lp.map(|l| l.values.as_slice());
-        let parent_basis = lp.and_then(|l| l.basis_key);
         let parent_bound_is_lp = lp.is_some();
+        let (lp_values, parent_basis) = match lp {
+            Some(lp) => (Some(lp.values), lp.basis.map(|b| Rc::new(b.into_header()))),
+            None => (None, None),
+        };
         let v_lp = lp_values.map(|v| v[j]);
 
         if upper - lower <= 1.0 + EPS {
@@ -2091,7 +2070,7 @@ impl<'a> BranchAndBound<'a> {
                         depth: node.depth + 1,
                         bound: node.bound,
                         branched: Some(j),
-                        parent_basis,
+                        parent_basis: parent_basis.clone(),
                         parent_bound_is_lp,
                         branch_up,
                         branch_step,
@@ -2126,7 +2105,7 @@ impl<'a> BranchAndBound<'a> {
                         depth: node.depth + 1,
                         bound: node.bound,
                         branched: Some(j),
-                        parent_basis,
+                        parent_basis: parent_basis.clone(),
                         parent_bound_is_lp,
                         branch_up,
                         branch_step,
@@ -2197,8 +2176,9 @@ struct NodeLp {
     values: Vec<f64>,
     /// Reduced costs at optimality (warm-capable path only).
     reduced_costs: Option<ReducedCosts>,
-    /// Cache key of the stored optimal basis, if it was kept.
-    basis_key: Option<u64>,
+    /// The optimal basis with the factorization its solve finished with
+    /// (the root node's: its header factorized on use).
+    basis: Option<Box<Factored>>,
 }
 
 enum NodeBound {
@@ -2218,7 +2198,7 @@ enum SolvedNodeLp {
         objective: f64,
         values: Vec<f64>,
         reduced_costs: Option<ReducedCosts>,
-        basis_key: Option<u64>,
+        basis: Option<Box<Factored>>,
     },
 }
 

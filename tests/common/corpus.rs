@@ -75,7 +75,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 1,
         golden_area: 1616,
-        golden_pivots: 1329,
+        golden_pivots: 1150,
     },
     CorpusCase {
         name: "r11k2",
@@ -85,7 +85,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1520,
-        golden_pivots: 1151,
+        golden_pivots: 1169,
     },
     CorpusCase {
         name: "r23k1",
@@ -105,7 +105,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1312,
-        golden_pivots: 656,
+        golden_pivots: 696,
     },
     CorpusCase {
         name: "r37k1",
@@ -115,7 +115,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 1,
         golden_area: 1876,
-        golden_pivots: 1280,
+        golden_pivots: 1205,
     },
     CorpusCase {
         name: "r37k2",
@@ -125,7 +125,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1616,
-        golden_pivots: 747,
+        golden_pivots: 850,
     },
     CorpusCase {
         name: "r58k1",
@@ -135,7 +135,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 1,
         golden_area: 1440,
-        golden_pivots: 1827,
+        golden_pivots: 1364,
     },
     CorpusCase {
         name: "r58k2",
@@ -145,7 +145,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1424,
-        golden_pivots: 3249,
+        golden_pivots: 2558,
     },
     CorpusCase {
         name: "r71k1",
@@ -155,7 +155,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 2,
         sessions: 1,
         golden_area: 1892,
-        golden_pivots: 2089,
+        golden_pivots: 1928,
     },
     CorpusCase {
         name: "r71k2",
@@ -165,7 +165,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 2,
         sessions: 2,
         golden_area: 1552,
-        golden_pivots: 891,
+        golden_pivots: 886,
     },
     CorpusCase {
         name: "r92k1",

@@ -15,9 +15,9 @@ mod common;
 use std::sync::Arc;
 
 use advbist::core::engine::SynthesisEngine;
-use advbist::core::SynthesisConfig;
-use advbist::ilp::SolverConfig;
-use advbist::ilp::{Model, Sense};
+use advbist::core::{synthesis, SynthesisConfig};
+use advbist::dfg::benchmarks;
+use advbist::ilp::{BoundMode, Model, Sense, SolveEvent, SolverConfig};
 use advbist::{Budget, SolveSession, SolveSnapshot};
 use common::corpus::CORPUS;
 
@@ -184,71 +184,139 @@ fn fresh_session_resumes_a_file_round_tripped_snapshot() {
     }
 }
 
-/// Rewrites a v2 snapshot document into the v1 wire shape: version field
-/// back to 1, the `pending_cuts` batch and `eager_separation` flag dropped,
-/// and the per-node `"ng"` (no-good learning allowed) flag stripped. This
-/// is exactly what a snapshot written by the previous release looks like.
-fn downgrade_to_v1(value: &mut advbist::ilp::json::Value) {
-    use advbist::ilp::json::Value;
-    let Value::Object(fields) = value else {
-        panic!("snapshot document must be an object");
-    };
-    fields.retain(|(key, _)| key != "pending_cuts" && key != "eager_separation");
-    for (key, field) in fields.iter_mut() {
-        match (key.as_str(), &mut *field) {
-            ("version", v) => *v = Value::Int(1),
-            ("frontier", Value::Array(nodes)) => {
-                for node in nodes {
-                    if let Value::Object(node_fields) = node {
-                        node_fields.retain(|(k, _)| k != "ng");
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[test]
-fn v1_snapshots_still_load_and_resume() {
-    // Forward compatibility: the current engine must accept the previous
-    // wire version (`MIN_FORMAT_VERSION`), defaulting the fields that did
-    // not exist yet, and still finish the tree exactly.
+fn eta_file_snapshots_are_rejected_on_version() {
+    // Versions 1 and 2 stored warm bases as eta files under cache keys;
+    // version 3 stores basis headers in a table the nodes index. An older
+    // document is refused with an error naming its version, not resumed
+    // from bases this build cannot read.
     let model = knapsack_model();
-    let cold = SolveSession::new(&model).solve().expect("cold solve");
-    assert!(cold.is_optimal());
-
     let partial = SolveSession::new(&model)
         .budget(Budget::nodes(3).with_snapshot(true))
         .solve()
         .expect("interrupted solve");
-    let snapshot = partial.snapshot().expect("snapshot captured");
-    let text = snapshot.to_json().expect("snapshot serializes");
-    assert!(text.contains("\"version\":2"), "current wire version is 2");
+    let text = partial
+        .snapshot()
+        .expect("snapshot captured")
+        .to_json()
+        .expect("snapshot serializes");
+    assert!(text.contains("\"version\":3"), "current wire version is 3");
+    for old in [1, 2] {
+        let stale = text.replacen("\"version\":3", &format!("\"version\":{old}"), 1);
+        let err = SolveSnapshot::from_json(&stale).unwrap_err();
+        assert!(err.message.contains(&format!("`version` {old}")), "{err}");
+    }
+}
 
-    let mut doc = advbist::ilp::json::Value::parse(&text).expect("valid json");
-    downgrade_to_v1(&mut doc);
-    let v1_text = doc.write();
-    assert!(v1_text.contains("\"version\":1"));
-    assert!(!v1_text.contains("pending_cuts"));
-    assert!(!v1_text.contains("eager_separation"));
-    assert!(!v1_text.contains("\"ng\""));
-
-    let reloaded = SolveSnapshot::from_json(&v1_text).expect("v1 snapshot loads");
-    let resumed = SolveSession::new(&model)
-        .resume(Arc::new(reloaded))
-        .solve()
-        .expect("resumed solve");
-    // The missing `ng` flags default to *false* (conservative: never learn
-    // a no-good from a restored node), so the resumed tree may prune
-    // slightly differently — but it must still prove the same optimum.
-    assert!(resumed.is_optimal());
-    assert!(resumed.stats().resumed);
+#[test]
+fn interrupted_paulin_snapshot_stays_small() {
+    // A snapshot carries basis headers, one status per column, for the
+    // distinct parent bases of the open frontier — not eta files.
+    let mut config = SynthesisConfig::default();
+    config.solver.bound_mode = BoundMode::LpRelaxation;
+    config.solver.budget = Budget::nodes(300);
+    config.solver.snapshot = true;
+    let design = synthesis::synthesize_bist(&benchmarks::paulin(), 1, &config).expect("paulin k=1");
+    let text = design
+        .snapshot
+        .expect("a capped solve captures a snapshot")
+        .to_json()
+        .expect("snapshot serializes");
     assert!(
-        (resumed.objective() - cold.objective()).abs() < 1e-9,
-        "v1 resume optimum {} != cold optimum {}",
-        resumed.objective(),
-        cold.objective()
+        text.len() <= 150_000,
+        "paulin k=1 snapshot at 300 nodes is {} bytes",
+        text.len()
+    );
+}
+
+/// Solves an eager search — seeded with an incumbent and separating
+/// shallow Gomory rounds from the first descent, the state every chained
+/// sweep solve runs in — in three legs: interrupted after the root cut loop
+/// but before the root node pops, again mid-tree, then finished. Each leg
+/// is a fresh session reading the previous leg's snapshot through a file.
+#[test]
+fn eager_resume_from_before_the_root_and_mid_tree_is_bit_identical() {
+    let model = common::random_binary_model(261, 24, 10);
+    let lp_mode = |initial_solutions| SolverConfig {
+        bound_mode: BoundMode::LpRelaxation,
+        eager_tree_cuts: true,
+        initial_solutions,
+        ..SolverConfig::default()
+    };
+    let warm = SolveSession::with_config(&model, lp_mode(Vec::new()))
+        .budget(Budget::nodes(3))
+        .solve()
+        .expect("seed solve")
+        .values()
+        .to_vec();
+    let eager = || lp_mode(vec![warm.clone()]);
+    let mut events = Vec::new();
+    let full = SolveSession::with_config(&model, eager())
+        .budget(Budget::nodes(1000))
+        .on_event(|event| events.push(event.clone()))
+        .solve()
+        .expect("uninterrupted solve");
+    assert!(full.is_optimal());
+    // The root cut loop ends on a round that installs nothing, so its LP
+    // and basis stay pending for the root node, and the loop's last event
+    // is that LP's bound. A cancellation raised there stops the search
+    // just before the root pops.
+    let first_pop = events
+        .iter()
+        .position(|e| matches!(e, SolveEvent::NodeMilestone { .. }))
+        .expect("the tree opened");
+    assert!(
+        matches!(
+            events[first_pop - 1],
+            SolveEvent::BoundImproved { nodes: 0, .. }
+        ),
+        "{:?}",
+        &events[..first_pop]
+    );
+    assert!(full.stats().cuts > 0, "the search separates");
+
+    let mut session =
+        SolveSession::with_config(&model, eager()).budget(Budget::nodes(1000).with_snapshot(true));
+    let token = session.cancel_token();
+    let mut seen = 0;
+    let before_root = session
+        .on_event(move |_| {
+            seen += 1;
+            if seen == first_pop {
+                token.cancel();
+            }
+        })
+        .solve()
+        .expect("interrupted before the root");
+    let snapshot = before_root.snapshot().expect("snapshot captured");
+    assert_eq!(snapshot.nodes(), 0);
+    let text = snapshot.to_json().expect("snapshot serializes");
+    assert!(!text.contains("\"root_lp\":null"), "the root LP is pending");
+    let snapshot = file_round_trip(snapshot, "eager_before_root");
+
+    let mid = full.stats().nodes / 2;
+    let mid_tree = SolveSession::with_config(&model, eager())
+        .budget(Budget::nodes(mid).with_snapshot(true))
+        .resume(Arc::new(snapshot))
+        .solve()
+        .expect("resumed to mid-tree");
+    let snapshot = mid_tree.snapshot().expect("snapshot captured");
+    assert_eq!(snapshot.nodes(), mid);
+    let snapshot = file_round_trip(snapshot, "eager_mid_tree");
+
+    let resumed = SolveSession::with_config(&model, eager())
+        .budget(Budget::nodes(1000))
+        .resume(Arc::new(snapshot))
+        .solve()
+        .expect("resumed to the end");
+    assert!(resumed.is_optimal());
+    assert_eq!(resumed.objective().to_bits(), full.objective().to_bits());
+    assert_eq!(resumed.values(), full.values());
+    assert_eq!(resumed.stats().nodes, full.stats().nodes);
+    let legs = [&before_root, &mid_tree, &resumed];
+    assert_eq!(
+        legs.iter().map(|leg| leg.stats().lp_pivots).sum::<u64>(),
+        full.stats().lp_pivots
     );
 }
 
